@@ -5,16 +5,12 @@ Reports are emitted as json (default) or csv with floats at 15 significant
 digits, sorted keys, and "\n" newlines, so identical invocations are
 byte-identical. Exit codes: 0 success, 2 usage error, 3 domain/numeric
 failure (a structured error object goes to stderr).
-
-The environment variable GASTBA_THREADS caps the internal parallelism of
-grid scans; output ordering does not depend on it.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -98,14 +94,6 @@ def render_report(report: dict, fmt: str) -> str:
         _flatten(k, report[k], flat)
     header = sorted(flat)
     return ",".join(header) + "\n" + ",".join(_csv_cell(flat[k]) for k in header) + "\n"
-
-
-def _threads() -> int:
-    raw = os.environ.get("GASTBA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _statistics(name: str) -> int:
@@ -262,8 +250,7 @@ def _cmd_profile(args) -> dict:
 
 
 def _cmd_zeros(args) -> dict:
-    cfg = riemann.ScanConfig(dt=args.dt, flag_threshold=args.threshold,
-                             threads=_threads())
+    cfg = riemann.ScanConfig(dt=args.dt, flag_threshold=args.threshold)
     cands = riemann.find_zeros(args.sigma, args.t_min, args.t_max, cfg)
     rows = [
         {

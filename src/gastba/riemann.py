@@ -71,7 +71,6 @@ class ScanConfig:
     newton_tol: float = 1e-12
     max_newton: int = 50
     refine_bound: float = 1e-8
-    threads: int = 1
 
 
 def quasi_coupling(nu) -> complex:
@@ -222,16 +221,14 @@ def potential_realspace(spec: QuasiKernelSpec, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _eta_line(sigma: float, ts: np.ndarray, threads: int = 1) -> np.ndarray:
-    def one(t):
-        return specfun.dirichlet_eta(complex(sigma, t))
+_ETA_BLOCK = 128  # heights per array evaluation: at most 128 x 360 terms
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return np.array(list(ex.map(one, ts)))
-    return np.array([one(t) for t in ts])
+def _eta_line(sigma: float, ts: np.ndarray) -> np.ndarray:
+    return np.concatenate([
+        specfun.dirichlet_eta_line(sigma, ts[i:i + _ETA_BLOCK])
+        for i in range(0, len(ts), _ETA_BLOCK)
+    ])
 
 
 def _newton_on_line(sigma: float, t0: float, cfg: ScanConfig) -> tuple[float, complex]:
@@ -294,7 +291,7 @@ def find_zeros(sigma: float, t_min: float, t_max: float,
     cfg = cfg or ScanConfig()
     n = max(int(math.ceil((t_max - t_min) / cfg.dt)) + 1, 8)
     ts = np.linspace(t_min, t_max, n)
-    g = np.abs(_eta_line(sigma, ts, cfg.threads))
+    g = np.abs(_eta_line(sigma, ts))
 
     flagged = [
         i

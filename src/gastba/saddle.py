@@ -168,9 +168,17 @@ class PseudoEnergyProfile:
 
 
 def _scan_roots(fun, lo: float, hi: float, n: int, tol: float) -> list[float]:
-    """All sign-change roots of fun on [lo, hi] from an n-point scan."""
+    """All sign-change roots of fun on [lo, hi] from an n-point scan.
+
+    fun maps an array of points to an array of values; it is called once on
+    the whole scan, and brentq refines each bracket on it point by point.
+    """
     xs = np.linspace(lo, hi, n)
-    vals = np.array([fun(x) for x in xs])
+    vals = fun(xs)
+
+    def one(x):
+        return float(fun(np.array([x]))[0])
+
     roots = []
     for i in range(n - 1):
         a, b = vals[i], vals[i + 1]
@@ -179,7 +187,7 @@ def _scan_roots(fun, lo: float, hi: float, n: int, tol: float) -> list[float]:
         if a == 0.0:
             roots.append(float(xs[i]))
         elif a * b < 0.0:
-            roots.append(float(optimize.brentq(fun, xs[i], xs[i + 1],
+            roots.append(float(optimize.brentq(one, xs[i], xs[i + 1],
                                                xtol=1e-15, rtol=8.9e-16)))
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
@@ -215,14 +223,14 @@ def solve_delta_constant(d: float, species: SpeciesSpec, coupling: CouplingSpec,
         # bosonic polylog argument z_mu e**-delta must stay below 1; the
         # 1e-6 margin keeps the near-branch-point evaluations well posed
         def rhs(delta):
-            u = math.exp(log_zmu - delta)
-            return h * specfun.polylog_series(order, u).real
+            u = np.exp(log_zmu - delta)
+            return h * np.array([specfun.polylog_series(order, x).real for x in u])
 
         lo = max(log_zmu + 1e-6, cfg.delta_bracket[0])
     else:
 
         def rhs(delta):
-            return -h * specfun.polylog_neg_exp(order, log_zmu - delta).real
+            return -h * specfun.polylog_neg_exp_array(order, log_zmu - delta).value.real
 
         lo = cfg.delta_bracket[0]
 
@@ -247,7 +255,7 @@ def solve_delta_constant(d: float, species: SpeciesSpec, coupling: CouplingSpec,
             f"two roots equidistant from the free branch: {roots[0]:.6g}, {roots[1]:.6g}"
         )
     delta = roots[0]
-    res = abs(residual_fun(delta))
+    res = abs(float(residual_fun(np.array([delta]))[0]))
     if res > tol:
         raise ConvergenceError(f"root residual {res:.2e} above tolerance {tol:.2e}")
     return SaddleSolution(
@@ -383,23 +391,19 @@ def solve_delta_quasi(nu, T: float, cfg: SolverConfig | None = None) -> SaddleSo
         raise DomainError("temperature must be positive")
     z = specfun._order(nu)
     if z.real <= 0.0:
-        raise DomainError("need Re nu > 0 for the Fermi-Dirac continuation")
+        raise DomainError("need Re nu > 0 for the continuation of Li_nu past -1")
     h_nu = riemann.quasi_coupling(z)
     pref = cmath.exp((z - 1.0) * math.log(T)) * h_nu
 
-    def rhs(delta):
-        li = specfun.polylog_neg_exp(z, -delta)
-        return -(pref * li).real
-
     def residual_fun(delta):
-        return delta - rhs(delta)
+        return delta + (pref * specfun.polylog_neg_exp_array(z, -delta).value).real
 
     lo, hi = cfg.delta_bracket
     roots = _scan_roots(residual_fun, lo, hi, cfg.bracket_points, 1e-9)
-    r0 = residual_fun(0.0)
+    r0 = float(residual_fun(np.array([0.0]))[0])
     if abs(r0) < tol:
         # when zeta(nu) = 0 the origin solves the equation exactly; prefer it
-        # over bracketed refinements that straddle it within quadrature noise
+        # over bracketed refinements that straddle it within evaluation noise
         # (genuine extra roots sit at O(1) distance, never inside 1e-4)
         roots = [r for r in roots if abs(r) > 1e-4]
         roots.append(0.0)

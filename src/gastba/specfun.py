@@ -3,9 +3,30 @@
 Everything downstream is built from the functions here: complex Gamma,
 Riemann zeta on the whole plane (alternating eta series with
 Cohen-Rodriguez Villegas-Zagier acceleration, reflection for Re nu <= 0),
-polylogarithms Li_nu(z) for real z (power series, Bose integral, and the
-Fermi-Dirac integral continuation to arguments below -1), the Rogers
-dilogarithm, and the xi combination pi**(-nu/2) Gamma(nu/2) zeta(nu).
+polylogarithms Li_nu(z) for real z, the Rogers dilogarithm, and the xi
+combination pi**(-nu/2) Gamma(nu/2) zeta(nu).
+
+Li_nu(-e**mu) for every real mu comes from polylog_neg_exp_array, which
+takes an array of mu and uses no quadrature (Wood 1992, "The computation
+of polylogarithms"; Crandall 2006, "Note on fast polylogarithm
+computation"):
+
+- mu <= -ln 2: the power series;
+- -ln 2 < mu <= 0: the accelerated alternating sum, with cached weights
+  (for Re nu <= 0, accepted only for mu < 0, the expansion below instead);
+- 0 < mu <= 1.5: the expansion about z = -1, -sum_k eta(nu - k) mu**k/k!;
+- mu > 1.5: the inversion formula
+  Li_nu(-e**mu) = (2 pi)**nu e**(i pi nu/2)/Gamma(nu) zeta(1 - nu, 1/2 - i mu/2 pi)
+  - e**(i pi nu) Li_nu(-e**-mu), with the Hurwitz zeta by Euler-Maclaurin.
+
+Each value carries an error bound: rounding of every term plus the
+truncation or acceleration remainder. polylog_neg_exp(_eval), polylog_auto
+below -1 and polylog_series on [-1, 0) delegate to it. On (0, 1),
+polylog_series sums the power series, expands about z = 1 for Re nu <= 0
+(Gamma(1 - nu) (-mu)**(nu - 1) + sum_k zeta(nu - k) mu**k/k!) and hands
+z within 1e-3 of 1 to the Bose integral for Re nu > 0. The quadrature
+routes, bose_polylog_integral and fermi_dirac_polylog, are kept as
+independent oracles.
 
 Branch convention: logarithms are principal everywhere, so for k > 0 the
 power k**w means exp(w*log(k)).
@@ -13,6 +34,7 @@ power k**w means exp(w*log(k)).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,6 +53,14 @@ _LN2 = math.log(2.0)
 _SQRT8 = math.sqrt(8.0)
 _LOG_CRVZ = math.log(3.0 + _SQRT8)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+_EPS = float(np.finfo(float).eps)
+_LOG_TINY = 41.5  # truncation and acceleration errors are held below e**-41.5 ~ 1e-18
+_NEAR_MU = 1.5  # expansion about z = -1 on (0, _NEAR_MU], inversion beyond
+_NEAR_TERMS = 64  # terms of the expansions about z = -1 and z = 1: (1.5/pi)**64 ~ 3e-21
+_EM_TERMS = 16  # Euler-Maclaurin Bernoulli terms beyond ceil(Re nu)
+_BLOCK = 256  # points per block of polylog_neg_exp_array
+_EM_WIDEN = 1.25  # |N + a| >= 1.25 (|s| + 2m)/(2 pi): the Bernoulli terms fall throughout
 
 
 @dataclass(frozen=True)
@@ -125,19 +155,22 @@ def _crvz_terms(tol: float, t: float) -> int:
     return min(n, 360)
 
 
-def _alternating_sum(a: np.ndarray) -> complex:
-    """sum_{k>=0} (-1)**k a[k] by Chebyshev-weighted acceleration."""
-    n = len(a)
+@functools.lru_cache(maxsize=None)
+def _crvz_weights(n: int) -> np.ndarray:
+    """Weights w of the n-term Chebyshev-accelerated alternating sum,
+    sum_{k>=0} (-1)**k a[k] ~ w @ a (read-only: the cache shares it)."""
     d = (3.0 + _SQRT8) ** n
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
     c = -d
-    s = 0.0 + 0.0j
+    w = np.empty(n)
     for k in range(n):
         c = b - c
-        s += c * a[k]
+        w[k] = c
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d
+    w /= d
+    w.flags.writeable = False
+    return w
 
 
 def dirichlet_eta_eval(nu, tol: float = 1e-15) -> EvalResult:
@@ -147,11 +180,24 @@ def dirichlet_eta_eval(nu, tol: float = 1e-15) -> EvalResult:
     n = _crvz_terms(tol, z.imag)
     k = np.arange(1, n + 1, dtype=float)
     a = np.exp(-z * np.log(k))
-    s = _alternating_sum(a)
+    s = complex(_crvz_weights(n) @ a)
     # acceleration remainder plus floating-point roundoff of the weighted sum
     rem = math.exp(0.5 * math.pi * abs(z.imag) - n * _LOG_CRVZ)
-    rnd = 4.0 * n * np.finfo(float).eps * float(np.max(np.abs(a)))
+    rnd = 4.0 * n * _EPS * float(np.max(np.abs(a)))
     return EvalResult(s, rem + rnd, n)
+
+
+def dirichlet_eta_line(sigma: float, ts) -> np.ndarray:
+    """eta(sigma + i t) for every t of ts: one weighted sum per height, with
+    the term count of the largest |t|, so at least as many as eta_eval's."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.size == 0:
+        return np.empty(0, dtype=complex)
+    n = _crvz_terms(1e-15, float(np.max(np.abs(ts))))
+    logk = np.log(np.arange(1, n + 1, dtype=float))
+    wa = _crvz_weights(n) * np.exp(-sigma * logk)
+    phase = np.multiply.outer(ts, logk)
+    return np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
 
 
 def dirichlet_eta(nu) -> complex:
@@ -228,22 +274,233 @@ def _polylog_series_direct(z_arg: float, nu: complex, tol: float) -> EvalResult:
     raise ConvergenceError(f"polylog series stalled at z = {z_arg}")
 
 
-def _polylog_series_neg(y: float, nu: complex, tol: float) -> EvalResult:
-    """Li_nu(-y) for 0 < y <= 1: alternating series, accelerated near y = 1.
+def _sinpi_array(z: np.ndarray) -> np.ndarray:
+    """sinpi over an array of complex arguments."""
+    n = np.floor(z.real + 0.5)
+    r = np.pi * (z.real - n)
+    y = np.pi * z.imag
+    s = np.sin(r) * np.cosh(y) + 1j * np.cos(r) * np.sinh(y)
+    return np.where(n % 2 == 0, s, -s)
 
-    Below y = 1/2 the plain sum converges geometrically and the Chebyshev
-    acceleration (whose error floor is set by the term count, not by y)
-    would be the less accurate choice.
-    """
-    if y < 0.5:
-        return _polylog_series_direct(-y, nu, tol)
-    n = _crvz_terms(tol, nu.imag)
+
+def _term_matrix(nu: complex, mu: np.ndarray, k: np.ndarray):
+    """exp(k mu - nu log k) over (points, k), with each entry's rounding
+    bound relative to its size: eps times the size of the exponent."""
+    logk = np.log(k)
+    a = np.exp(np.multiply.outer(mu, k) - nu * logk)
+    rel = _EPS * (3.0 + np.multiply.outer(np.abs(mu), k) + abs(nu) * logk)
+    return a, rel
+
+
+def _li_series(nu: complex, mu: np.ndarray):
+    """sum_{k>=1} (-1)**k e**(k mu) k**-nu for mu <= -ln 2, any order."""
+    top = float(np.max(mu))
+    grow = max(-nu.real, 0.0)  # terms grow like k**grow before e**(k mu) wins
+    n = 1
+    for _ in range(4):
+        n = math.ceil((_LOG_TINY + grow * math.log(n + 1.0)) / -top)
     k = np.arange(1, n + 1, dtype=float)
-    a = np.exp(k * math.log(y) - nu * np.log(k))
-    s = -_alternating_sum(a)
-    rem = math.exp(0.5 * math.pi * abs(nu.imag) - n * _LOG_CRVZ)
-    rnd = 4.0 * n * np.finfo(float).eps
-    return EvalResult(s, rem + rnd, n)
+    a, rel = _term_matrix(nu, mu, k)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    tail = 4.0 * np.exp((n + 1.0) * mu + grow * math.log(n + 1.0))
+    return a @ sign, np.sum(np.abs(a) * rel, axis=1) + tail, n
+
+
+def _li_alternating(nu: complex, mu: np.ndarray):
+    """-sum_{k>=0} (-1)**k e**((k+1) mu) (k+1)**-nu accelerated, for
+    -ln 2 < mu <= 0 and Re nu > 0.
+
+    The terms are moments of a measure of total variation
+    e**mu Gamma(sigma)/|Gamma(nu)|, which bounds the acceleration error
+    after scaling by 2 (3+sqrt(8))**-n.
+    """
+    log_tv = math.lgamma(nu.real) - special.loggamma(nu).real
+    n = min(max(math.ceil((_LOG_TINY + max(log_tv, 0.0)) / _LOG_CRVZ), 8), 360)
+    w = _crvz_weights(n)
+    a, rel = _term_matrix(nu, mu, np.arange(1, n + 1, dtype=float))
+    rem = 2.0 * np.exp(mu + log_tv - n * _LOG_CRVZ)
+    return -(a @ w), (np.abs(a) * rel) @ np.abs(w) + rem, n
+
+
+@functools.lru_cache(maxsize=64)
+def _eta_shifted(nu: complex, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """eta(nu - k) for k < n_terms with absolute error bounds.
+
+    Orders with Re > 0 use the accelerated series; the others the
+    functional equation eta(w) = (1 - 2**(1-w))/(1 - 2**w) chi(w) eta(1-w),
+    chi(w) = 2**w pi**(w-1) sin(pi w/2) Gamma(1-w), with eta(0) = 1/2.
+    """
+    w = nu - np.arange(n_terms)
+    refl = w.real <= 0.0
+    orders = np.where(refl, 1.0 - w, w)
+    n = _crvz_terms(1e-17, nu.imag)
+    logk = np.log(np.arange(1, n + 1, dtype=float))
+    a = np.exp(-np.multiply.outer(orders, logk))
+    wts = _crvz_weights(n)
+    eta = a @ wts
+    tv = np.exp(special.gammaln(orders.real) - special.loggamma(orders).real)
+    err = _EPS * (np.abs(a) * (3.0 + np.multiply.outer(np.abs(orders), logk))) @ np.abs(wts)
+    err = err + 2.0 * tv * math.exp(-n * _LOG_CRVZ)
+    wr = w[refl]
+    lg = special.loggamma(1.0 - wr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = ((1.0 - np.exp((1.0 - wr) * _LN2)) / (1.0 - np.exp(wr * _LN2))
+                  * np.exp(wr * _LN2 + (wr - 1.0) * _LOG_PI + lg) * _sinpi_array(0.5 * wr))
+    rel = 8.0 * _EPS * (2.0 + np.abs(lg) + np.abs(wr) * 3.0)
+    err[refl] = np.abs(factor) * (err[refl] + rel * np.abs(eta[refl]))
+    eta[refl] = factor * eta[refl]
+    origin = w == 0.0
+    eta[origin], err[origin] = 0.5, _EPS
+    eta.flags.writeable = err.flags.writeable = False
+    return eta, err
+
+
+def _series_in_mu(coef: np.ndarray, coef_err: np.ndarray,
+                  mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k coef[k] mu**k / k! with its error bound (last term as tail)."""
+    k = np.arange(len(coef), dtype=float)
+    p = np.divide.outer(mu, np.maximum(k, 1.0))
+    p[:, 0] = 1.0
+    p = np.cumprod(p, axis=1)
+    val = p @ coef
+    terms = np.abs(p) * np.abs(coef)
+    err = np.abs(p) @ coef_err + 4.0 * _EPS * (terms @ (1.0 + k)) + 4.0 * terms[:, -1]
+    return val, err
+
+
+def _li_about_minus_one(nu: complex, mu: np.ndarray):
+    """Li_nu(-e**mu) = -sum_k eta(nu - k) mu**k / k!, for |mu| < pi."""
+    eta, err = _eta_shifted(nu, _NEAR_TERMS)
+    val, e = _series_in_mu(eta, err, mu)
+    return -val, e, _NEAR_TERMS
+
+
+@functools.lru_cache(maxsize=64)
+def _inversion_setup(nu: complex):
+    """Constants of the inversion route for one order (Im nu >= 0).
+
+    Returns the prefactor (2 pi)**nu e**(i pi nu/2) / Gamma(nu) with its
+    relative error, s = 1 - nu, the Euler-Maclaurin coefficients
+    B_2j/(2j)! (s)_{2j-1} and the powers s + 2j - 1 they go with, the
+    remainder exponent q and constant, and the radius R0 that |N + a| must
+    reach before the Euler-Maclaurin tail is used.
+    """
+    lg = complex(special.loggamma(nu))
+    lpref = nu * math.log(2.0 * math.pi) + 0.5j * math.pi * nu - lg
+    pref = cmath.exp(lpref)
+    pref_rel = 8.0 * _EPS * (1.0 + abs(lg) + abs(nu) * 3.0)
+    s = 1.0 - nu
+    m = _EM_TERMS + math.ceil(max(nu.real, 0.0))
+    j = np.arange(1, m + 1)
+    bern = (-1.0) ** (j + 1) * 2.0 * special.zeta(2.0 * j, 1) / (2.0 * math.pi) ** (2 * j)
+    rising = np.cumprod(s + np.arange(2 * m + 1))  # (s)_1 ... (s)_{2m+1}
+    coef = bern * rising[2 * j - 2]
+    q = s.real + 2 * m + 1
+    # |B~_{2m+1}|/(2m+1)! <= 2 zeta(2m+1)/(2 pi)**(2m+1), and
+    # int_N^inf |x + a|**-q dx <= |N + a|**(1-q) sqrt(pi)/2 Gamma((q-1)/2)/Gamma(q/2)
+    rem = (2.0 * special.zeta(2 * m + 1, 1) / (2.0 * math.pi) ** (2 * m + 1) * abs(rising[-1])
+           * 0.5 * math.sqrt(math.pi)
+           * math.exp(math.lgamma(0.5 * (q - 1.0)) - math.lgamma(0.5 * q)))
+    r0 = _EM_WIDEN * (abs(s) + 2 * m) / (2.0 * math.pi)
+    return pref, pref_rel, s, coef, s + 2.0 * j - 1.0, q, rem, r0
+
+
+def _hurwitz_em(nu: complex, a: np.ndarray):
+    """zeta(1 - nu, a) for Re a = 1/2, Im a < 0, by Euler-Maclaurin."""
+    _, _, s, coef, powers, q, rem, r0 = _inversion_setup(nu)
+    b = np.abs(a.imag)
+    n_direct = np.ceil(np.sqrt(np.maximum(r0 * r0 - b * b, 0.0)) - 0.5).astype(int)
+    n_direct = np.maximum(n_direct, 0)
+    val = np.zeros(a.shape, dtype=complex)
+    err = np.zeros(a.shape)
+    top = int(n_direct.max())
+    if top:
+        k = np.arange(top, dtype=float)
+        lx = np.log(np.add.outer(a, k))
+        t = np.where(k < n_direct[:, None], np.exp(-s * lx), 0.0)
+        val += t.sum(axis=1)
+        err += _EPS * np.sum(np.abs(t) * (4.0 + abs(s) * np.abs(lx)), axis=1)
+    x = a + n_direct
+    lx = np.log(x)
+    half = 0.5 * np.exp(-s * lx)
+    lead = 2.0 * half * x / (s - 1.0)
+    pw = np.exp(-np.multiply.outer(lx, powers))
+    val += lead + half + pw @ coef
+    err += _EPS * ((4.0 + abs(1.0 - s) * np.abs(lx)) * np.abs(lead)
+                   + (4.0 + abs(s) * np.abs(lx)) * np.abs(half)
+                   + (4.0 + (abs(s) + 2.0 * len(coef)) * np.abs(lx)) * (np.abs(pw) @ np.abs(coef)))
+    err += rem * np.exp(-s.imag * np.abs(np.angle(x)) + (1.0 - q) * np.log(np.abs(x)))
+    return val, err, top + len(coef) + 2
+
+
+def _li_inversion(nu: complex, mu: np.ndarray):
+    """Li_nu(-e**mu) = (2 pi)**nu e**(i pi nu/2)/Gamma(nu) zeta(1-nu, 1/2 - i mu/2 pi)
+    - e**(i pi nu) Li_nu(-e**-mu), for mu > 0, Re nu > 0 and Im nu >= 0."""
+    pref, pref_rel, *_ = _inversion_setup(nu)
+    z, z_err, n_em = _hurwitz_em(nu, 0.5 - 1j * mu / (2.0 * math.pi))
+    back, back_err, n_back = _li_series(nu, -mu)
+    rot = cmath.exp(1j * math.pi * nu)
+    head = pref * z
+    val = head - rot * back
+    err = abs(pref) * z_err + pref_rel * np.abs(head) + abs(rot) * back_err
+    return val, err + 2.0 * _EPS * np.abs(val), n_em + n_back
+
+
+def polylog_neg_exp_array(nu, log_y) -> EvalResult:
+    """Li_nu(-e**log_y) elementwise over an array of real log_y, no quadrature.
+
+    Routes: the power series for log_y <= -ln 2; the accelerated alternating
+    sum up to log_y = 0; the expansion about z = -1 on (0, 1.5]; beyond it
+    the inversion formula with the Hurwitz zeta by Euler-Maclaurin. Orders
+    with Re nu <= 0 are accepted for log_y < 0 (expansion about -1 in place
+    of the alternating sum). value and abs_error_estimate are arrays of the
+    shape of log_y; terms_or_nodes_used is the most terms any route summed.
+    """
+    w = _order(nu)
+    mu = np.asarray(log_y, dtype=float)
+    if not np.all(np.isfinite(mu)):
+        raise DomainError("log_y must be finite")
+    if w.imag < 0.0:  # conjugation symmetry for real arguments
+        r = polylog_neg_exp_array(w.conjugate(), mu)
+        return EvalResult(np.conj(r.value), r.abs_error_estimate,
+                          r.terms_or_nodes_used)
+    if w.real <= 0.0 and np.any(mu >= 0.0):
+        raise DomainError("Li_nu(-y) for y >= 1 requires Re nu > 0")
+    flat = mu.ravel()
+    val = np.empty(flat.shape, dtype=complex)
+    err = np.empty(flat.shape)
+    terms = 0
+    # blocks of _BLOCK points keep the term matrices small (and in cache)
+    for start in range(0, flat.size, _BLOCK):
+        m = flat[start:start + _BLOCK]
+        mid = (m > -_LN2) & (m <= 0.0)
+        near = (m > 0.0) & (m <= _NEAR_MU)
+        if w.real <= 0.0:
+            # no accelerated sum for these orders: expand about -1 on (-ln 2, 0)
+            mid, near = near, mid
+        for mask, route in ((m <= -_LN2, _li_series), (mid, _li_alternating),
+                            (near, _li_about_minus_one), (m > _NEAR_MU, _li_inversion)):
+            if np.any(mask):
+                i = start + np.flatnonzero(mask)
+                val[i], err[i], n = route(w, m[mask])
+                terms = max(terms, n)
+    return EvalResult(val.reshape(mu.shape), err.reshape(mu.shape), terms)
+
+
+def _li_about_plus_one(nu: complex, mu: float) -> EvalResult:
+    """Li_nu(e**mu) = Gamma(1-nu) (-mu)**(nu-1) + sum_k zeta(nu-k) mu**k/k!
+    for -2 pi < mu < 0 and Re nu <= 0 (no zeta pole among the orders)."""
+    eta, eta_err = _eta_shifted(nu, _NEAR_TERMS)
+    w = nu - np.arange(_NEAR_TERMS)
+    scale = 1.0 / (1.0 - np.exp((1.0 - w) * _LN2))
+    coef, coef_err = eta * scale, (eta_err + 4.0 * _EPS * np.abs(eta)) * np.abs(scale)
+    series, series_err = _series_in_mu(coef, coef_err, np.array([mu]))
+    lg = complex(special.loggamma(1.0 - nu))
+    lead = cmath.exp(lg + (nu - 1.0) * math.log(-mu))
+    lead_err = abs(lead) * 8.0 * _EPS * (2.0 + abs(lg) + abs(nu - 1.0) * abs(math.log(-mu)))
+    val = lead + complex(series[0])
+    return EvalResult(val, lead_err + float(series_err[0]) + 2.0 * _EPS * abs(val),
+                      _NEAR_TERMS)
 
 
 def polylog_series_eval(nu, z: float, tol: float = 1e-14) -> EvalResult:
@@ -261,10 +518,13 @@ def polylog_series_eval(nu, z: float, tol: float = 1e-14) -> EvalResult:
     if w == 1.0:
         return EvalResult(complex(-math.log1p(-z_arg)), 1e-16, 1)
     if z_arg < 0.0:
-        return _polylog_series_neg(-z_arg, w, tol)
+        return polylog_neg_exp_eval(w, math.log(-z_arg))
     if 1.0 - z_arg < 1e-3 and w.real > 0.0:
         # series convergence degrades as z -> 1; the Bose integral does not
         return bose_polylog_integral_eval(w, z_arg)
+    if z_arg > 0.5 and w.real <= 0.0:
+        # the terms z**n n**-nu grow before they fall; expand about z = 1
+        return _li_about_plus_one(w, math.log(z_arg))
     return _polylog_series_direct(z_arg, w, tol)
 
 
@@ -352,24 +612,21 @@ def fermi_dirac_polylog(nu, y: float) -> complex:
 
     Analytic continuation of the power series past y = 1:
     Li_nu(-y) = -(1/Gamma(nu)) * integral_0^inf y x**(nu-1)/(e**x + y) dx,
-    valid for Re nu > 0 on the whole positive y axis.
+    valid for Re nu > 0 on the whole positive y axis. By quadrature, so it
+    serves as an oracle independent of polylog_neg_exp_array.
     """
     return fermi_dirac_polylog_eval(nu, y).value
 
 
 def polylog_neg_exp_eval(nu, log_y: float, tol: float = 1e-12) -> EvalResult:
-    """Li_nu(-e**log_y) with its error estimate, series or integral.
+    """Li_nu(-e**log_y) with its error estimate, by polylog_neg_exp_array.
 
-    log_y <= 0 uses the alternating series (fast, machine precision);
-    log_y > 0 the Fermi-Dirac continuation. Saddle solvers call this with
-    log_y = -delta so that deeply negative delta never overflows.
+    Saddle solvers call this with log_y = -delta so that deeply negative
+    delta never overflows. The routes always work to double precision; tol
+    is kept for callers of the earlier series/quadrature version.
     """
-    w = _order(nu)
-    if log_y <= 0.0:
-        return _polylog_series_neg(math.exp(log_y), w, tol)
-    if w.real <= 0.0:
-        raise DomainError("continuation below -1 requires Re nu > 0")
-    return _fd_from_log(w, log_y)
+    r = polylog_neg_exp_array(nu, float(log_y))
+    return EvalResult(complex(r.value), float(r.abs_error_estimate), r.terms_or_nodes_used)
 
 
 def polylog_neg_exp(nu, log_y: float, tol: float = 1e-12) -> complex:
@@ -417,8 +674,8 @@ def bose_polylog_integral(nu, z: float) -> complex:
 def polylog_auto(nu, z: float, tol: float = 1e-12) -> complex:
     """Li_nu(z) for real z < 1, picking the right representation.
 
-    z in [-1, 1) goes through the power series, z < -1 through the
-    Fermi-Dirac continuation.
+    z in [-1, 1) goes through polylog_series, z < -1 through
+    polylog_neg_exp.
     """
     if z < -1.0:
         return polylog_neg_exp(nu, math.log(-z), tol)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -176,6 +177,14 @@ class TestFindZeros:
         assert c.refined
         assert complex(c.nu).imag == pytest.approx(oracles.CRITICAL_LINE_ZEROS[0], abs=1e-6)
         assert c.newton_residual < 1e-8
+
+    def test_first_ten_zeros_against_mpmath(self):
+        cands = riemann.find_zeros(0.5, 10.0, 50.0)
+        with mp.workdps(20):
+            want = [float(mp.zetazero(n).imag) for n in range(1, 11)]
+        assert [c.refined for c in cands] == [True] * 10
+        for c, t in zip(cands, want):
+            assert complex(c.nu).imag == pytest.approx(t, abs=1e-10)
 
     def test_off_line_window_is_empty(self):
         assert riemann.find_zeros(0.9, 12.0, 16.0) == []

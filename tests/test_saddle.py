@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate
 
-from gastba import riemann, saddle, specfun
+from gastba import riemann, saddle, specfun, thermo
 from gastba.errors import (
     DomainError,
     EmptyBracketError,
@@ -199,6 +201,17 @@ class TestSolveDeltaQuasi:
         rhs = -(riemann.quasi_coupling(0.9) * specfun.polylog_neg_exp(0.9, -sol.delta)).real
         assert abs(sol.delta - rhs) < 1e-7 * abs(sol.delta)
 
+    def test_deep_fermi_sea_root(self):
+        nu, T = 0.9, 0.05
+        cfg = SolverConfig(delta_bracket=(-2e5, 1.0), bracket_points=400)
+        sol = saddle.solve_delta_quasi(nu, T, cfg)
+        with mp.workdps(25):
+            pref = mp.power(T, nu - 1) / (2 * mp.pi * (1 - mp.power(2, 1 - nu)))
+            root = mp.findroot(
+                lambda d: d + mp.re(pref * mp.polylog(nu, -mp.exp(-d))), mp.mpf(-84898.28)
+            )
+        assert sol.delta == pytest.approx(float(root), rel=1e-9)
+
     def test_default_bracket_empty_at_real_order(self):
         with pytest.raises(EmptyBracketError):
             saddle.solve_delta_quasi(0.9, T=1.0)
@@ -258,3 +271,25 @@ class TestProfile:
         f = prof.occupancy()
         expected = 1.0 / (np.exp(prof.epsilon / prof.temperature) + 1.0)
         assert np.allclose(f, expected, rtol=1e-12, atol=1e-300)
+
+
+class TestNoQuadratureOnHotPath:
+    """The shift solves, the Fermi energy and the fermionic observables run
+    on the quadrature-free polylog routes; quad stays an oracle."""
+
+    def test_never_calls_quad(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad called on the hot path")
+
+        monkeypatch.setattr(scipy.integrate, "quad", forbidden)
+        for d in (1, 2, 3):
+            for z_mu in (0.5, 3.0):
+                sp = SpeciesSpec(statistics=FERMION, z_mu=z_mu)
+                c = CouplingSpec(mode="h_T", value=0.6, d=d)
+                sol = saddle.solve_delta_constant(d, sp, c, T=1.0)
+                obs = thermo.observables_constant(sol, thermo.ThermoState(T=1.0, d=d), sp)
+                assert math.isfinite(obs.free_energy)
+            assert thermo.fermi_energy(d, 1.0, 0.1) > 0.0
+        for nu, points in ((1.4, 2000), (1.1 + 3.0j, 600)):
+            sol = saddle.solve_delta_quasi(nu, 0.1, SolverConfig(bracket_points=points))
+            assert math.isfinite(sol.delta)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -138,6 +139,23 @@ class TestPolylogSeries:
     def test_zero_argument(self):
         assert specfun.polylog_series(1.7, 0.0) == 0
 
+    def test_nonpositive_order_near_one(self):
+        # expansion about z = 1; the power series needs millions of terms here
+        z = 0.99999
+        assert specfun.polylog_series(-1.0, z).real == pytest.approx(
+            z / (1 - z) ** 2, rel=1e-10
+        )
+        r = specfun.polylog_series_eval(-0.5 + 1j, 0.999)
+        ref = complex(mp.polylog(mp.mpc(-0.5, 1.0), mp.mpf("0.999")))
+        assert r.value == pytest.approx(ref, rel=1e-10)
+        assert abs(r.value - ref) <= r.abs_error_estimate
+
+    def test_nonpositive_order_negative_argument(self):
+        z = -0.9
+        assert specfun.polylog_series(-1.0, z).real == pytest.approx(
+            z / (1 - z) ** 2, rel=1e-13
+        )
+
 
 class TestFermiDiracPolylog:
     def test_empty_gas_limit(self):
@@ -172,6 +190,68 @@ class TestFermiDiracPolylog:
             specfun.fermi_dirac_polylog(-0.5, 1.0)
         with pytest.raises(DomainError):
             specfun.fermi_dirac_polylog(2.0, -1.0)
+
+
+def _mp_li_neg_exp(nu, mu) -> complex:
+    with mp.workdps(20):
+        return complex(mp.polylog(mp.mpc(nu.real, nu.imag), -mp.exp(mp.mpf(mu))))
+
+
+class TestPolylogNegExp:
+    """Li_nu(-e**mu) from the quadrature-free routes of polylog_neg_exp_array."""
+
+    def test_error_estimate_bounds_true_error(self):
+        # standing calibration against mpmath; one sample in twenty lies in
+        # (-ln 2, 1.5], where mpmath is slowest and the routes change
+        rng = np.random.default_rng(2024)
+        for i in range(320):
+            nu = complex(rng.uniform(0.1, 3.0), rng.uniform(-10.0, 10.0))
+            if i % 20 == 1:
+                mu = rng.uniform(-math.log(2.0), 1.5)
+            elif i % 2:
+                mu = rng.uniform(-40.0, 2.0)
+            else:
+                mu = math.exp(rng.uniform(math.log(2.0), math.log(2e5)))
+            r = specfun.polylog_neg_exp_eval(nu, mu)
+            ref = _mp_li_neg_exp(nu, mu)
+            err = abs(r.value - ref)
+            assert err <= r.abs_error_estimate, (nu, mu, err, r.abs_error_estimate)
+            # and the bound is tight enough to certify near double precision
+            assert r.abs_error_estimate <= 1e-11 * abs(ref), (nu, mu, r.abs_error_estimate)
+
+    def test_high_orders_near_minus_one(self):
+        # the expansion about z = -1 avoids the cancellation that the direct
+        # Hurwitz terms of the inversion formula suffer as mu -> 0+
+        for nu in (2.5, 3.0):
+            for mu in (1e-9, 1e-3, 0.2, 1.0, 1.5):
+                ref = _mp_li_neg_exp(complex(nu), mu)
+                assert specfun.polylog_neg_exp(nu, mu) == pytest.approx(ref, rel=1e-14)
+
+    def test_deep_fermi_sea(self):
+        mu = 84898.28
+        r = specfun.polylog_neg_exp_eval(0.9, mu)
+        assert r.value == pytest.approx(_mp_li_neg_exp(0.9 + 0j, mu), rel=1e-14)
+
+    def test_array_matches_scalar(self):
+        mu = np.array([[-50.0, -1.0, -0.3], [0.0, 0.7, 60.0]])
+        for nu in (0.5, 1.3 - 2.0j):
+            r = specfun.polylog_neg_exp_array(nu, mu)
+            assert r.value.shape == mu.shape == r.abs_error_estimate.shape
+            for v, e, x in zip(r.value.ravel(), r.abs_error_estimate.ravel(), mu.ravel()):
+                one = specfun.polylog_neg_exp_eval(nu, x)
+                assert abs(v - one.value) <= e + one.abs_error_estimate
+
+    def test_unit_argument_is_minus_eta(self):
+        nu = 0.5 + 14j
+        assert specfun.polylog_neg_exp(nu, 0.0) == pytest.approx(
+            -specfun.dirichlet_eta(nu), rel=1e-12
+        )
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            specfun.polylog_neg_exp(-0.5, 0.5)
+        with pytest.raises(DomainError):
+            specfun.polylog_neg_exp_array(1.5, np.array([0.0, math.nan]))
 
 
 class TestBosePolylogIntegral:
@@ -271,6 +351,12 @@ class TestEvalResults:
         assert r.terms_or_nodes_used > 0
         ref = complex(oracles.mp_eta(0.5 + 3j))
         assert abs(r.value - ref) <= 10 * r.abs_error_estimate + 1e-14
+
+    def test_eta_line_matches_pointwise(self):
+        ts = np.linspace(10.0, 60.0, 300)
+        line = specfun.dirichlet_eta_line(0.5, ts)
+        for t, g in zip(ts, line):
+            assert abs(g - specfun.dirichlet_eta(complex(0.5, t))) < 1e-13
 
     def test_fermi_eval_reports_nodes(self):
         r = specfun.fermi_dirac_polylog_eval(1.5, 2.0)
