@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import riemann, saddle, specfun, thermo
-from .errors import GasTbaError
+from .errors import DomainError, GasTbaError
 
 _FLOAT_FMT = ".15g"
 
@@ -96,8 +96,13 @@ def render_report(report: dict, fmt: str) -> str:
     return ",".join(header) + "\n" + ",".join(_csv_cell(flat[k]) for k in header) + "\n"
 
 
-def _statistics(name: str) -> int:
-    return saddle.BOSON if name == "boson" else saddle.FERMION
+_STATISTICS = {"boson": saddle.BOSON, "fermion": saddle.FERMION}
+
+
+def _statistics(name) -> int:
+    if name not in _STATISTICS:
+        raise DomainError(f"statistics must be 'boson' or 'fermion', got {name!r}")
+    return _STATISTICS[name]
 
 
 def _coupling_from_args(args, d: float) -> saddle.CouplingSpec:
@@ -123,9 +128,23 @@ def _coupling_from_args(args, d: float) -> saddle.CouplingSpec:
 
 def load_species_file(path: str) -> tuple[list[saddle.SpeciesSpec], np.ndarray]:
     """Parse the species file: a json document listing species and the
-    symmetric coupling matrix h_ab (row-major flat list or nested rows)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    symmetric coupling matrix h_ab (row-major flat list or nested rows).
+
+    An unreadable file or a document without the "species" list, the
+    "couplings" matrix or a statistics name per species raises GasTbaError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise GasTbaError(f"cannot read species file {path!r}: {exc.strerror}") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("species"), list)
+            and "couplings" in doc
+            and all(isinstance(e, dict) and "statistics" in e for e in doc["species"])):
+        raise GasTbaError(
+            f"species file {path!r} needs a \"species\" list of objects with"
+            " \"statistics\" and a \"couplings\" matrix"
+        )
     species = []
     for entry in doc["species"]:
         species.append(

@@ -39,7 +39,9 @@ class BranchAmbiguityError(GasTbaError, RuntimeError):
 
 
 class EmptyBracketError(GasTbaError, RuntimeError):
-    """Scan bracket contains no sign change and delta = 0 is not a root."""
+    """A bracket holds no sign change: the shift scan found none and
+    delta = 0 is not a root, or f has one sign at both ends given to the
+    root finder."""
 
 
 class NearTrivialZeroWarning(UserWarning):

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import specfun
 from .errors import (
@@ -161,6 +160,8 @@ def kernel_from_potential_eval(spec: QuasiKernelSpec, k: float,
         )
     if k <= 0.0:
         raise DomainError("momentum must be positive")
+    from scipy import integrate  # a quadrature oracle: keeps scipy out of import
+
     x_split = 2.0 * math.pi / k
 
     def f_re(x):

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
 
 from . import riemann, specfun
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     TruncationWarning,
 )
 from .riemann import QuasiKernelSpec
+from .roots import brent
 
 BOSON = +1
 FERMION = -1
@@ -46,6 +46,8 @@ class SpeciesSpec:
     z_mu: float = 1.0  # fugacity e**(mu/T)
 
     def __post_init__(self):
+        if not (math.isfinite(self.mass) and math.isfinite(self.z_mu)):
+            raise DomainError("mass and fugacity z_mu must be finite")
         if self.mass <= 0.0:
             raise DomainError("mass must be positive")
         if self.statistics not in (BOSON, FERMION):
@@ -73,6 +75,8 @@ class CouplingSpec:
     def __post_init__(self):
         if self.mode not in self._MODES:
             raise DomainError(f"unknown coupling mode {self.mode!r}")
+        if not (math.isfinite(self.value) and math.isfinite(self.d)):
+            raise DomainError("coupling value and dimension must be finite")
         if self.d <= 0.0:
             raise DomainError("dimension must be positive")
         if self.mode == "h_2d" and self.d != 2:
@@ -158,7 +162,7 @@ class PseudoEnergyProfile:
         return self.nodes**2  # mass fixed at 1/2
 
     def occupancy(self) -> np.ndarray:
-        return special.expit(-self.epsilon / self.temperature)
+        return specfun.expit(-self.epsilon / self.temperature)
 
     def extended(self) -> tuple[np.ndarray, np.ndarray]:
         """Full symmetric grid (-k reversed then +k) and mirrored epsilon."""
@@ -171,7 +175,8 @@ def _scan_roots(fun, lo: float, hi: float, n: int, tol: float) -> list[float]:
     """All sign-change roots of fun on [lo, hi] from an n-point scan.
 
     fun maps an array of points to an array of values; it is called once on
-    the whole scan, and brentq refines each bracket on it point by point.
+    the whole scan, and Brent's method refines each bracket on it point by
+    point.
     """
     xs = np.linspace(lo, hi, n)
     vals = fun(xs)
@@ -187,8 +192,7 @@ def _scan_roots(fun, lo: float, hi: float, n: int, tol: float) -> list[float]:
         if a == 0.0:
             roots.append(float(xs[i]))
         elif a * b < 0.0:
-            roots.append(float(optimize.brentq(one, xs[i], xs[i + 1],
-                                               xtol=1e-15, rtol=8.9e-16)))
+            roots.append(brent(one, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16))
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     # dedupe near-coincident refinements
@@ -208,8 +212,8 @@ def solve_delta_constant(d: float, species: SpeciesSpec, coupling: CouplingSpec,
     """
     cfg = cfg or SolverConfig()
     tol = cfg.resolved_tol(1e-10)
-    if T <= 0.0:
-        raise DomainError("temperature must be positive")
+    if not 0.0 < T < math.inf:
+        raise DomainError("temperature must be positive and finite")
     h = coupling_h_T(coupling, T, species.mass)
     s = species.statistics
     z_mu = species.z_mu
@@ -286,7 +290,7 @@ def solve_2d_boson(h: float, z_mu: float = 1.0,
     a, b = 1e-15, cap * (1.0 - 1e-15)
     if fun(a) * fun(b) > 0.0:
         raise NoSolutionError("no sign change of z - (1 - z_mu z)**h on (0, 1)")
-    z = float(optimize.brentq(fun, a, b, xtol=1e-16, rtol=8.9e-16))
+    z = brent(fun, a, b, xtol=1e-16, rtol=8.9e-16)
     res = abs(fun(z))
     if res > tol:
         raise ConvergenceError(f"residual {res:.2e} above tolerance")
@@ -320,7 +324,7 @@ def solve_2d_fermion(h: float, z_mu: float = 1.0,
         hi *= 4.0
         if hi > 1e15:
             raise NoSolutionError("fermionic fixed point escaped the bracket")
-    z = float(optimize.brentq(fun, 1e-15, hi, xtol=1e-16, rtol=8.9e-16))
+    z = brent(fun, 1e-15, hi, xtol=1e-16, rtol=8.9e-16)
     res = abs(fun(z))
     if res > tol:
         raise ConvergenceError(f"residual {res:.2e} above tolerance")
@@ -387,8 +391,8 @@ def solve_delta_quasi(nu, T: float, cfg: SolverConfig | None = None) -> SaddleSo
     """
     cfg = cfg or SolverConfig()
     tol = cfg.resolved_tol(1e-10)
-    if T <= 0.0:
-        raise DomainError("temperature must be positive")
+    if not 0.0 < T < math.inf:
+        raise DomainError("temperature must be positive and finite")
     z = specfun._order(nu)
     if z.real <= 0.0:
         raise DomainError("need Re nu > 0 for the continuation of Li_nu past -1")
@@ -488,8 +492,8 @@ def solve_profile_quasiperiodic(nu, T: float,
     """
     cfg = cfg or SolverConfig()
     tol = cfg.resolved_tol(1e-10)
-    if T <= 0.0:
-        raise DomainError("temperature must be positive")
+    if not 0.0 < T < math.inf:
+        raise DomainError("temperature must be positive and finite")
     spec = kernel or riemann.make_kernel_spec(nu)
     z = complex(spec.nu)
     if 2.0 * z.real - 1.0 <= 0.0:
@@ -519,7 +523,7 @@ def solve_profile_quasiperiodic(nu, T: float,
     eta = cfg.damping
     res = math.inf
     for _ in range(cfg.max_iter):
-        f = special.expit(-beta * eps)
+        f = specfun.expit(-beta * eps)
         new = omega + mat @ f
         res = float(np.max(np.abs(new - eps)))
         eps = (1.0 - eta) * eps + eta * new
@@ -529,7 +533,7 @@ def solve_profile_quasiperiodic(nu, T: float,
         raise ConvergenceError(
             f"profile iteration residual {res:.2e} after {cfg.max_iter} steps"
         )
-    f_boundary = float(special.expit(-beta * eps[-1]))
+    f_boundary = float(specfun.expit(-beta * eps[-1]))
     if f_boundary > tol:
         warnings.warn(
             f"filling fraction {f_boundary:.2e} at the grid boundary exceeds "

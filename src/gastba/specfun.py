@@ -3,8 +3,15 @@
 Everything downstream is built from the functions here: complex Gamma,
 Riemann zeta on the whole plane (alternating eta series with
 Cohen-Rodriguez Villegas-Zagier acceleration, reflection for Re nu <= 0),
-polylogarithms Li_nu(z) for real z, the Rogers dilogarithm, and the xi
-combination pi**(-nu/2) Gamma(nu/2) zeta(nu).
+polylogarithms Li_nu(z) for real z, the Rogers dilogarithm, the logistic
+function and the xi combination pi**(-nu/2) Gamma(nu/2) zeta(nu).
+
+Gamma is exp(loggamma), and loggamma is the principal branch of log Gamma
+by the Stirling series, after an upward shift or a reflection (Hare 1997,
+"Computing the principal branch of log-Gamma"). The Bernoulli numbers of
+the Stirling and Euler-Maclaurin series are literals. Nothing here imports
+scipy, except the quadrature routes, which import scipy.integrate when they
+run.
 
 Li_nu(-e**mu) for every real mu comes from polylog_neg_exp_array, which
 takes an array of mu and uses no quadrature (Wood 1992, "The computation
@@ -22,11 +29,12 @@ computation"):
 Each value carries an error bound: rounding of every term plus the
 truncation or acceleration remainder. polylog_neg_exp(_eval), polylog_auto
 below -1 and polylog_series on [-1, 0) delegate to it. On (0, 1),
-polylog_series sums the power series, expands about z = 1 for Re nu <= 0
-(Gamma(1 - nu) (-mu)**(nu - 1) + sum_k zeta(nu - k) mu**k/k!) and hands
-z within 1e-3 of 1 to the Bose integral for Re nu > 0. The quadrature
-routes, bose_polylog_integral and fermi_dirac_polylog, are kept as
-independent oracles.
+polylog_series sums the power series. It expands about z = 1,
+Gamma(1 - nu) (-mu)**(nu - 1) + sum_k zeta(nu - k) mu**k/k!, for z > 1/2
+when Re nu <= 0 and for z within 1e-3 of 1 when Re nu > 0. Integer orders
+n >= 2 within 1e-3 of z = 1 meet the pole of zeta(nu - k) at k = n - 1 and
+go to the Bose integral. The quadrature routes, bose_polylog_integral and
+fermi_dirac_polylog, are kept as independent oracles.
 
 Branch convention: logarithms are principal everywhere, so for k > 0 the
 power k**w means exp(w*log(k)).
@@ -40,7 +48,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
     ConvergenceError,
@@ -55,6 +62,7 @@ _LOG_CRVZ = math.log(3.0 + _SQRT8)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _EPS = float(np.finfo(float).eps)
+_LOG_MIN_NORMAL = math.log(float(np.finfo(float).tiny))  # -708.4
 _LOG_TINY = 41.5  # truncation and acceleration errors are held below e**-41.5 ~ 1e-18
 _NEAR_MU = 1.5  # expansion about z = -1 on (0, _NEAR_MU], inversion beyond
 _NEAR_TERMS = 64  # terms of the expansions about z = -1 and z = 1: (1.5/pi)**64 ~ 3e-21
@@ -110,39 +118,85 @@ def sinpi(z) -> complex:
     return -s if n % 2 else s
 
 
-# Lanczos coefficients, g = 7, 9 terms (relative error ~ 2e-13 on Re z > 1/2).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
+def _sinpi_array(z: np.ndarray) -> np.ndarray:
+    """sinpi over an array of complex arguments."""
+    n = np.floor(z.real + 0.5)
+    r = np.pi * (z.real - n)
+    y = np.pi * z.imag
+    s = np.sin(r) * np.cosh(y) + 1j * np.cos(r) * np.sinh(y)
+    return np.where(n % 2 == 0, s, -s)
+
+
+# B_2j/(2j)! for j = 1..16, the exact rationals rounded to double.
+_BERN = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26,
 )
+# B_2k/(2k (2k-1)) for k = 1..8: the Stirling series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+_STIRLING_MIN = 7.0  # the series holds to double precision for Re z > 7 or |Im z| > 7
 
 
-def _gamma(z: complex) -> complex:
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (sinpi(z) * _gamma(1.0 - z))
-    z = z - 1.0
-    x = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+def _stirling(z: np.ndarray) -> np.ndarray:
+    r = 1.0 / z
+    r2 = r * r
+    poly = np.zeros_like(z)
+    for c in reversed(_STIRLING):
+        poly = poly * r2 + c
+    return (z - 0.5) * np.log(z) - z + _LOG_SQRT_2PI + r * poly
+
+
+def _loggamma_shift(z: np.ndarray) -> np.ndarray:
+    """log Gamma(z + n) - sum_{k<n} log(z + k), n = ceil(7 - Re z), for Re z >= 0.1."""
+    n = np.ceil(_STIRLING_MIN - z.real)
+    k = np.arange(_STIRLING_MIN + 1.0)
+    logs = np.where(k < n[..., None], np.log(z[..., None] + k), 0.0)
+    return _stirling(z + n) - logs.sum(axis=-1)
+
+
+def _loggamma_reflect(z: np.ndarray) -> np.ndarray:
+    """log pi - log sin(pi z) - log Gamma(1 - z) + the 2 pi i turns of the
+    principal branch (Hare 1997, Proposition 3.1), for Re z < 0.1."""
+    turn = np.copysign(2.0 * math.pi, z.imag) * np.floor(0.5 * z.real + 0.25)
+    return _LOG_PI + 1j * turn - np.log(_sinpi_array(z)) - loggamma(1.0 - z)
+
+
+def loggamma(z):
+    """Principal branch of log Gamma(z), elementwise over complex z.
+
+    Hare 1997: the Stirling series where Re z > 7 or |Im z| > 7; elsewhere
+    the upward shift for Re z >= 0.1 and the reflection below. At the poles
+    z = 0, -1, -2, ... the real part is inf. A scalar gives a complex.
+    """
+    z = np.asarray(z, dtype=complex)
+    big = (z.real > _STIRLING_MIN) | (np.abs(z.imag) > _STIRLING_MIN)
+    refl = ~big & (z.real < 0.1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if z.ndim == 0:
+            route = _stirling if big else _loggamma_reflect if refl else _loggamma_shift
+            return complex(route(z))
+        out = np.empty(z.shape, dtype=complex)
+        for mask, route in ((big, _stirling), (refl, _loggamma_reflect),
+                            (~big & ~refl, _loggamma_shift)):
+            if np.any(mask):
+                out[mask] = route(z[mask])
+    return out
 
 
 def gamma(nu) -> complex:
-    """Gamma function for complex order, >= 12 significant digits for |nu| <= 50."""
+    """Gamma function for complex order, exp(loggamma(nu)); >= 13 significant
+    digits for |nu| <= 50. Real on the real axis, where the k pi i of the
+    principal log Gamma would leave a rounding residue in the imaginary part."""
     z = _order(nu)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError(f"Gamma pole at nu = {z.real:g}")
-    return _gamma(z)
+    g = cmath.exp(loggamma(z))
+    return complex(g.real) if z.imag == 0.0 else g
 
 
 def _crvz_terms(tol: float, t: float) -> int:
@@ -215,7 +269,7 @@ def _zeta_eta_route(z: complex) -> complex:
 
 def _zeta_reflection(z: complex) -> complex:
     # zeta(nu) = 2**nu pi**(nu-1) sin(pi nu/2) Gamma(1-nu) zeta(1-nu)
-    chi = 2.0**z * math.pi ** (z - 1.0) * sinpi(0.5 * z) * _gamma(1.0 - z)
+    chi = 2.0**z * math.pi ** (z - 1.0) * sinpi(0.5 * z) * cmath.exp(loggamma(1.0 - z))
     return chi * _zeta_eta_route(1.0 - z)
 
 
@@ -274,15 +328,6 @@ def _polylog_series_direct(z_arg: float, nu: complex, tol: float) -> EvalResult:
     raise ConvergenceError(f"polylog series stalled at z = {z_arg}")
 
 
-def _sinpi_array(z: np.ndarray) -> np.ndarray:
-    """sinpi over an array of complex arguments."""
-    n = np.floor(z.real + 0.5)
-    r = np.pi * (z.real - n)
-    y = np.pi * z.imag
-    s = np.sin(r) * np.cosh(y) + 1j * np.cos(r) * np.sinh(y)
-    return np.where(n % 2 == 0, s, -s)
-
-
 def _term_matrix(nu: complex, mu: np.ndarray, k: np.ndarray):
     """exp(k mu - nu log k) over (points, k), with each entry's rounding
     bound relative to its size: eps times the size of the exponent."""
@@ -314,12 +359,18 @@ def _li_alternating(nu: complex, mu: np.ndarray):
     e**mu Gamma(sigma)/|Gamma(nu)|, which bounds the acceleration error
     after scaling by 2 (3+sqrt(8))**-n.
     """
-    log_tv = math.lgamma(nu.real) - special.loggamma(nu).real
+    log_tv = _log_total_variation(nu)
     n = min(max(math.ceil((_LOG_TINY + max(log_tv, 0.0)) / _LOG_CRVZ), 8), 360)
     w = _crvz_weights(n)
     a, rel = _term_matrix(nu, mu, np.arange(1, n + 1, dtype=float))
     rem = 2.0 * np.exp(mu + log_tv - n * _LOG_CRVZ)
     return -(a @ w), (np.abs(a) * rel) @ np.abs(w) + rem, n
+
+
+@functools.lru_cache(maxsize=64)
+def _log_total_variation(nu: complex) -> float:
+    """log(Gamma(sigma)/|Gamma(nu)|), sigma = Re nu > 0."""
+    return math.lgamma(nu.real) - loggamma(nu).real
 
 
 @functools.lru_cache(maxsize=64)
@@ -338,11 +389,12 @@ def _eta_shifted(nu: complex, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.exp(-np.multiply.outer(orders, logk))
     wts = _crvz_weights(n)
     eta = a @ wts
-    tv = np.exp(special.gammaln(orders.real) - special.loggamma(orders).real)
+    lg_orders = loggamma(orders)
+    tv = np.exp([math.lgamma(x) for x in orders.real] - lg_orders.real)
     err = _EPS * (np.abs(a) * (3.0 + np.multiply.outer(np.abs(orders), logk))) @ np.abs(wts)
     err = err + 2.0 * tv * math.exp(-n * _LOG_CRVZ)
     wr = w[refl]
-    lg = special.loggamma(1.0 - wr)
+    lg = lg_orders[refl]  # log Gamma(1 - w)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = ((1.0 - np.exp((1.0 - wr) * _LN2)) / (1.0 - np.exp(wr * _LN2))
                   * np.exp(wr * _LN2 + (wr - 1.0) * _LOG_PI + lg) * _sinpi_array(0.5 * wr))
@@ -385,24 +437,37 @@ def _inversion_setup(nu: complex):
     remainder exponent q and constant, and the radius R0 that |N + a| must
     reach before the Euler-Maclaurin tail is used.
     """
-    lg = complex(special.loggamma(nu))
+    lg = loggamma(nu)
     lpref = nu * math.log(2.0 * math.pi) + 0.5j * math.pi * nu - lg
     pref = cmath.exp(lpref)
     pref_rel = 8.0 * _EPS * (1.0 + abs(lg) + abs(nu) * 3.0)
     s = 1.0 - nu
     m = _EM_TERMS + math.ceil(max(nu.real, 0.0))
     j = np.arange(1, m + 1)
-    bern = (-1.0) ** (j + 1) * 2.0 * special.zeta(2.0 * j, 1) / (2.0 * math.pi) ** (2 * j)
+    bern = _bernoulli_ratios(m)
     rising = np.cumprod(s + np.arange(2 * m + 1))  # (s)_1 ... (s)_{2m+1}
     coef = bern * rising[2 * j - 2]
     q = s.real + 2 * m + 1
-    # |B~_{2m+1}|/(2m+1)! <= 2 zeta(2m+1)/(2 pi)**(2m+1), and
+    # |B~_{2m+1}|/(2m+1)! <= 2 zeta(2m+1)/(2 pi)**(2m+1), with
+    # zeta(2m+1) <= 1 + 2**-(2m+1) + 2**-2m/(2m) (the sum past n = 2 is below its
+    # integral), and
     # int_N^inf |x + a|**-q dx <= |N + a|**(1-q) sqrt(pi)/2 Gamma((q-1)/2)/Gamma(q/2)
-    rem = (2.0 * special.zeta(2 * m + 1, 1) / (2.0 * math.pi) ** (2 * m + 1) * abs(rising[-1])
+    zeta_odd = 1.0 + 2.0 ** (-2 * m - 1) + 2.0 ** (-2 * m) / (2 * m)
+    rem = (2.0 * zeta_odd / (2.0 * math.pi) ** (2 * m + 1) * abs(rising[-1])
            * 0.5 * math.sqrt(math.pi)
            * math.exp(math.lgamma(0.5 * (q - 1.0)) - math.lgamma(0.5 * q)))
     r0 = _EM_WIDEN * (abs(s) + 2 * m) / (2.0 * math.pi)
     return pref, pref_rel, s, coef, s + 2.0 * j - 1.0, q, rem, r0
+
+
+def _bernoulli_ratios(m: int) -> np.ndarray:
+    """B_2j/(2j)! for j = 1..m: the literals, then for j > 16
+    (-1)**(j+1) 2 zeta(2j)/(2 pi)**(2j) with zeta(2j) = 1 + 2**-2j + 3**-2j + 4**-2j
+    (the rest is below 5**-34 ~ 2e-24 of it)."""
+    j = np.arange(len(_BERN) + 1, m + 1)
+    zeta_2j = 1.0 + 4.0 ** -j + 9.0 ** -j + 16.0 ** -j
+    tail = (-1.0) ** (j + 1) * 2.0 * zeta_2j / (2.0 * math.pi) ** (2 * j)
+    return np.concatenate([_BERN, tail])[:m]
 
 
 def _hurwitz_em(nu: complex, a: np.ndarray):
@@ -487,15 +552,31 @@ def polylog_neg_exp_array(nu, log_y) -> EvalResult:
     return EvalResult(val.reshape(mu.shape), err.reshape(mu.shape), terms)
 
 
+@functools.lru_cache(maxsize=64)
+def _plus_one_setup(nu: complex):
+    """zeta(nu - k) for k < _NEAR_TERMS with error bounds, and log Gamma(1 - nu).
+
+    zeta(w) = eta(w)/(1 - 2**(1-w)), with 1 - 2**(1-w) = -expm1((1-w) ln 2) so
+    that the scale keeps its relative accuracy as w -> 1; its rounding,
+    eps (4 + 2 |x e**x/expm1(x)|) relative at x = (1-w) ln 2, is carried.
+    """
+    eta, eta_err = _eta_shifted(nu, _NEAR_TERMS)
+    x = ((1.0 + np.arange(_NEAR_TERMS)) - nu) * _LN2
+    em1 = np.expm1(x)
+    scale = -1.0 / em1
+    scale_rel = _EPS * (4.0 + 2.0 * np.abs(x * np.exp(x) / em1))
+    coef = eta * scale
+    coef_err = eta_err * np.abs(scale) + np.abs(coef) * (scale_rel + 2.0 * _EPS)
+    coef.flags.writeable = coef_err.flags.writeable = False
+    return coef, coef_err, loggamma(1.0 - nu)
+
+
 def _li_about_plus_one(nu: complex, mu: float) -> EvalResult:
     """Li_nu(e**mu) = Gamma(1-nu) (-mu)**(nu-1) + sum_k zeta(nu-k) mu**k/k!
-    for -2 pi < mu < 0 and Re nu <= 0 (no zeta pole among the orders)."""
-    eta, eta_err = _eta_shifted(nu, _NEAR_TERMS)
-    w = nu - np.arange(_NEAR_TERMS)
-    scale = 1.0 / (1.0 - np.exp((1.0 - w) * _LN2))
-    coef, coef_err = eta * scale, (eta_err + 4.0 * _EPS * np.abs(eta)) * np.abs(scale)
+    for -2 pi < mu < 0 and nu not a positive integer (no zeta pole among the
+    orders nu - k)."""
+    coef, coef_err, lg = _plus_one_setup(nu)
     series, series_err = _series_in_mu(coef, coef_err, np.array([mu]))
-    lg = complex(special.loggamma(1.0 - nu))
     lead = cmath.exp(lg + (nu - 1.0) * math.log(-mu))
     lead_err = abs(lead) * 8.0 * _EPS * (2.0 + abs(lg) + abs(nu - 1.0) * abs(math.log(-mu)))
     val = lead + complex(series[0])
@@ -519,11 +600,13 @@ def polylog_series_eval(nu, z: float, tol: float = 1e-14) -> EvalResult:
         return EvalResult(complex(-math.log1p(-z_arg)), 1e-16, 1)
     if z_arg < 0.0:
         return polylog_neg_exp_eval(w, math.log(-z_arg))
-    if 1.0 - z_arg < 1e-3 and w.real > 0.0:
-        # series convergence degrades as z -> 1; the Bose integral does not
+    # series convergence degrades as z -> 1, and for Re nu <= 0 the terms
+    # z**n n**-nu grow before they fall: expand about z = 1 there
+    near_one = 1.0 - z_arg < 1e-3 and w.real > 0.0
+    if near_one and w.imag == 0.0 and w.real == round(w.real):
+        # the expansion meets the zeta pole at integer orders
         return bose_polylog_integral_eval(w, z_arg)
-    if z_arg > 0.5 and w.real <= 0.0:
-        # the terms z**n n**-nu grow before they fall; expand about z = 1
+    if near_one or (z_arg > 0.5 and w.real <= 0.0):
         return _li_about_plus_one(w, math.log(z_arg))
     return _polylog_series_direct(z_arg, w, tol)
 
@@ -541,6 +624,8 @@ def _quad_complex(f, a, b, *, t: float = 0.0, points=None, limit=300):
     own convergence complaints are silenced; its abserr output is what we
     propagate, so a poor panel shows up in the error estimate instead.
     """
+    from scipy import integrate  # quadrature oracles only: keeps scipy out of import
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
         if t == 0.0:
@@ -572,7 +657,10 @@ def _fermi_integral_exp(nu: complex, w: float) -> EvalResult:
     s_min = math.log(1e-18 * sig) / sig
 
     def h(s):
-        return math.exp(sig * s) * special.expit(w - math.exp(s))
+        x = w - math.exp(s)  # exp(sigma s) expit(x), with no overflow in either tail
+        if x >= 0.0:
+            return math.exp(sig * s) / (1.0 + math.exp(-x))
+        return math.exp(sig * s + x) / (1.0 + math.exp(x))
 
     points = None
     if t == 0.0 and w > 1.0:
@@ -599,9 +687,19 @@ def fermi_dirac_polylog_eval(nu, y: float, tol: float = 1e-9) -> EvalResult:
 def _fd_from_log(w: complex, log_y: float) -> EvalResult:
     """Li_nu(-e**log_y) by quadrature; the estimate is as reported by the
     integrator (very conservative for the oscillatory weights), divided by
-    |Gamma(nu)|, which is the honest amplification off the real axis."""
+    |Gamma(nu)|, which is the honest amplification off the real axis.
+
+    Where |Gamma(nu)| underflows the range of normal doubles (|Im nu| past
+    about 450 near the critical line) the route cannot divide it out and
+    raises DomainError."""
+    lg = loggamma(w)
+    if lg.real < _LOG_MIN_NORMAL:
+        raise DomainError(
+            f"|Gamma(nu)| = e**{lg.real:.1f} underflows at nu = {w}: the"
+            " Fermi-Dirac quadrature cannot resolve Li_nu there"
+        )
     r = _fermi_integral_exp(w, log_y)
-    g = _gamma(w)
+    g = cmath.exp(lg)
     val = -r.value / g
     err = r.abs_error_estimate / abs(g)
     return EvalResult(val, err, r.terms_or_nodes_used)
@@ -656,7 +754,7 @@ def bose_polylog_integral_eval(nu, z: float, tol: float = 1e-9) -> EvalResult:
         return math.exp(sig * s) * z / (math.exp(math.exp(s)) - z)
 
     val, err, nodes = _quad_complex(h, s_min, s_max, t=t)
-    g = _gamma(w)
+    g = cmath.exp(loggamma(w))
     out = val / g
     err /= abs(g)
     if err > max(tol * (1.0 + abs(out)), 1e2 * tol):
@@ -682,6 +780,27 @@ def polylog_auto(nu, z: float, tol: float = 1e-12) -> complex:
     return polylog_series_eval(nu, z, tol).value
 
 
+def _li2_real(x: float) -> float:
+    """Li_2(x) for real x < 1.
+
+    On [-1, 1/2] the Bernoulli series in u = -log(1 - x),
+    Li_2 = u - u**2/4 + sum_j B_2j/(2j)! u**(2j+1)/(2j+1), where |u| <= ln 2;
+    above 1/2 the reflection Li_2(x) = pi**2/6 - log x log(1 - x) - Li_2(1 - x),
+    below -1 the inversion Li_2(x) = -pi**2/6 - log(-x)**2/2 - Li_2(1/x).
+    """
+    if x > 0.5:
+        return math.pi**2 / 6.0 - math.log(x) * math.log1p(-x) - _li2_real(1.0 - x)
+    if x < -1.0:
+        lx = math.log(-x)
+        return -math.pi**2 / 6.0 - 0.5 * lx * lx - _li2_real(1.0 / x)
+    u = -math.log1p(-x)
+    u2 = u * u
+    s = 0.0
+    for j in range(len(_BERN), 0, -1):
+        s = s * u2 + _BERN[j - 1] / (2 * j + 1)
+    return u - 0.25 * u2 + u * u2 * s
+
+
 def rogers_dilog(z: float) -> float:
     """Rogers dilogarithm Lr2(z) = Li2(z) + (1/2) log|z| log(1-z) for z <= 1.
 
@@ -695,5 +814,19 @@ def rogers_dilog(z: float) -> float:
         return math.pi**2 / 6.0
     if z == 0.0:
         return 0.0
-    li2 = float(special.spence(1.0 - z))
-    return li2 + 0.5 * math.log(abs(z)) * math.log1p(-z)
+    return _li2_real(z) + 0.5 * math.log(abs(z)) * math.log1p(-z)
+
+
+def expit(x):
+    """Logistic function 1/(1 + e**-x), elementwise.
+
+    From e = e**-|x|: 1/(1 + e) for x >= 0 and e/(1 + e) below, so both
+    tails keep their relative accuracy (1/(1 + e**-x) flushes to 0 below
+    x = -709.8). Where |x| >= 746, e is 0 without calling exp: numpy's exp
+    leaves its vector path for results that underflow.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    e = np.exp(-a, out=np.zeros_like(a), where=a < 746.0)
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import specfun
 from .errors import ConvergenceError, DimensionError, DomainError
+from .roots import brent
 from .saddle import (
     BOSON,
     CouplingSpec,
@@ -37,6 +37,8 @@ class ThermoState:
     mass: float = 0.5
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.T, self.d, self.mass)):
+            raise DomainError("temperature, dimension and mass must be finite")
         if self.T <= 0.0:
             raise DomainError("temperature must be positive")
         if self.d <= 0.0:
@@ -183,8 +185,7 @@ def fermi_energy(d: float, n: float, T: float, mass: float = 0.5) -> float:
         tries += 1
         if tries > 120:
             raise ConvergenceError("Fermi-energy bracket search failed (high side)")
-    w = optimize.brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return float(w * T)
+    return brent(gap, lo, hi, xtol=1e-13, rtol=8.9e-16) * T
 
 
 def fermi_energy_zero_temperature(d: float, n: float, mass: float = 0.5) -> float:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,75 @@ class TestRun:
         doc = json.loads(out)
         assert len(doc["rows"]) >= 64
         assert all(set(r) == {"k", "epsilon", "f"} for r in doc["rows"])
+
+
+class TestBadInput:
+    """Bad files and values exit 3 with the structured stderr object."""
+
+    def _species_file(self, tmp_path, doc):
+        path = tmp_path / "species.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _expect_error(self, argv, capsys, kind):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == kind
+
+    def test_misspelled_statistics(self, tmp_path, capsys):
+        doc = {"species": [{"name": "b", "statistics": "bosn"},
+                           {"name": "f", "statistics": "fermion"}],
+               "couplings": [1.0, 1.0, 1.0, 1.0]}
+        self._expect_error(["charge", "--species", self._species_file(tmp_path, doc)],
+                           capsys, "DomainError")
+
+    def test_species_key_missing(self, tmp_path, capsys):
+        path = self._species_file(tmp_path, {"couplings": [1.0]})
+        self._expect_error(["charge", "--species", path], capsys, "GasTbaError")
+
+    def test_species_file_missing(self, tmp_path, capsys):
+        self._expect_error(["charge", "--species", str(tmp_path / "absent.json")],
+                           capsys, "GasTbaError")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_and_fugacity(self, bad, capsys):
+        base = ["solve", "--d", "3", "--statistics", "boson"]
+        self._expect_error(base + [f"--h-t={bad}"], capsys, "DomainError")
+        self._expect_error(base + ["--h-t", "0.5", f"--z-mu={bad}"], capsys, "DomainError")
+
+    def test_zeros_past_quadrature_height(self, capsys):
+        self._expect_error(["zeros", "--sigma", "0.5", "--t-min", "600", "--t-max", "602"],
+                           capsys, "DomainError")
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from gastba import cli
+
+argvs = [["solve", "--d", d, "--statistics", s, "--z-mu", "0.6", "--h-t", "0.4"]
+         for d in ("1", "2", "3") for s in ("boson", "fermion")]
+argvs += [["charge", "--statistics", "boson", "--h", "1.5"],
+          ["charge", "--species", sys.argv[1]],
+          ["bec", "--d", "3", "--h-t", "0.5"],
+          ["fermi", "--d", "3", "--n", "1", "--T", "0.5"],
+          ["duality", "--nu-re", "0.3", "--nu-im", "5"],
+          ["profile", "--nu-re", "1.4", "--T", "0.1", "--grid-points", "64"]]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    """Every command but zeros and kernel-check runs without importing scipy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, susy_file(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 class TestRendering:

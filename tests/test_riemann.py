@@ -178,6 +178,13 @@ class TestFindZeros:
         assert complex(c.nu).imag == pytest.approx(oracles.CRITICAL_LINE_ZEROS[0], abs=1e-6)
         assert c.newton_residual < 1e-8
 
+    def test_quadrature_oracle_refuses_large_heights(self):
+        # Gamma(1/2 + 600.5 i) underflows: a typed error, not ZeroDivisionError
+        with pytest.raises(DomainError):
+            riemann.zeta_via_integral_eval(0.5 + 600.5j)
+        with pytest.raises(DomainError):
+            riemann.find_zeros(0.5, 600.0, 602.0)
+
     def test_first_ten_zeros_against_mpmath(self):
         cands = riemann.find_zeros(0.5, 10.0, 50.0)
         with mp.workdps(20):

@@ -1,0 +1,84 @@
+import math
+
+import numpy as np
+import pytest
+from scipy import optimize
+
+from gastba import roots, specfun
+from gastba.errors import ConvergenceError, DomainError, EmptyBracketError
+
+
+def _same_root(f, a, b, xtol, rtol=8.9e-16):
+    ours = roots.brent(f, a, b, xtol=xtol, rtol=rtol)
+    ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    assert abs(ours - ref) <= 1e-15 * max(1.0, abs(ref))
+    return ours
+
+
+class TestBrentMatchesBrentq:
+    """The four call sites' functions, and a steep and a flat bracket."""
+
+    def test_shift_scan_residuals(self):
+        # _scan_roots: the fermionic constant-shift and the quasi-periodic
+        # residuals, on the first sign change of a 200-point scan
+        rng = np.random.default_rng(23)
+        cases = [(rng.uniform(0.5, 1.5), rng.uniform(0.1, 1.0), math.log(rng.uniform(0.3, 3.0)),
+                  1.0) for _ in range(8)]
+        cases += [(complex(rng.uniform(1.05, 1.4), rng.uniform(1.0, 4.0)), 1.0, 0.0,
+                   complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))) for _ in range(4)]
+        for nu, h, log_zmu, pref in cases:
+            def f(delta):
+                li = specfun.polylog_neg_exp_array(nu, np.array([log_zmu - delta]))
+                return float(delta + h * (pref * li.value[0]).real)
+
+            xs = np.linspace(-10.0, 10.0, 200)
+            vals = [f(x) for x in xs]
+            i = next(i for i in range(199) if vals[i] * vals[i + 1] < 0.0)
+            _same_root(f, xs[i], xs[i + 1], 1e-15)
+
+    def test_algebraic_2d(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            h, z_mu = rng.uniform(0.05, 4.0), rng.uniform(0.2, 1.0)
+            z = _same_root(lambda x: x - (1.0 - z_mu * x) ** h, 1e-15, 1.0 - 1e-15, 1e-16)
+            assert abs(z - (1.0 - z_mu * z) ** h) < 1e-14
+            hf = rng.uniform(-0.9, 3.0)
+            _same_root(lambda x: x - (1.0 + z_mu * x) ** (-hf), 1e-15, 32.0, 1e-16)
+
+    def test_fermi_energy_gap(self):
+        for d, target in ((1, 0.3), (2, 5.0), (3, 40.0)):
+            def gap(w):
+                return -specfun.polylog_neg_exp(d / 2.0, w).real - target
+
+            _same_root(gap, -20.0, 60.0, 1e-13)
+
+    def test_steep_and_flat(self):
+        _same_root(lambda x: math.atan(1e9 * (x - 1.0 / 3.0)), 0.0, 1.0, 1e-15)
+        _same_root(lambda x: x**9 - 1e-30, -1.0, 2.0, 1e-15)
+        _same_root(lambda x: math.expm1(x) - 1e-300, -1.0, 2.0, 1e-300)
+
+    def test_fails_where_brentq_fails(self):
+        # a root of multiplicity 7 stalls both within 100 steps at xtol 1e-15
+        with pytest.raises(RuntimeError):
+            optimize.brentq(lambda x: (x - 0.7) ** 7, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        with pytest.raises(ConvergenceError):
+            roots.brent(lambda x: (x - 0.7) ** 7, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+
+
+class TestBrentContract:
+    def test_root_at_bracket_end(self):
+        assert roots.brent(lambda x: x - 2.0, 2.0, 3.0, xtol=1e-12) == 2.0
+
+    def test_same_sign_raises(self):
+        with pytest.raises(EmptyBracketError):
+            roots.brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_non_finite_end_raises(self):
+        with pytest.raises(DomainError):
+            roots.brent(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
+
+    def test_tolerances_checked(self):
+        with pytest.raises(DomainError):
+            roots.brent(lambda x: x, -1.0, 1.0, xtol=1e-12, rtol=1e-17)
+        with pytest.raises(DomainError):
+            roots.brent(lambda x: x, -1.0, 1.0, xtol=0.0)

@@ -38,6 +38,25 @@ class TestSpeciesAndCoupling:
         with pytest.raises(DomainError):
             CouplingSpec(mode="h_2d", value=1.0, d=3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for kwargs in ({"mass": bad}, {"z_mu": bad}):
+            with pytest.raises(DomainError):
+                SpeciesSpec(**kwargs)
+        with pytest.raises(DomainError):
+            CouplingSpec(mode="h_T", value=bad, d=3)
+        with pytest.raises(DomainError):
+            CouplingSpec(mode="h_T", value=0.5, d=bad)
+        for kwargs in ({"T": bad, "d": 3}, {"T": 1.0, "d": bad}, {"T": 1.0, "d": 3, "mass": bad}):
+            with pytest.raises(DomainError):
+                thermo.ThermoState(**kwargs)
+        with pytest.raises(DomainError):
+            saddle.solve_delta_constant(3, SpeciesSpec(), CouplingSpec("h_T", 0.5, 3), T=bad)
+        with pytest.raises(DomainError):
+            saddle.solve_delta_quasi(1.4, bad)
+        with pytest.raises(DomainError):
+            saddle.solve_profile_quasiperiodic(1.4, bad)
+
     def test_h_T_from_scattering_length(self):
         # a = lambda_T / sqrt(2 pi) makes the thermal coupling unity in 3d
         T, m = 1.7, 0.5
@@ -274,8 +293,8 @@ class TestProfile:
 
 
 class TestNoQuadratureOnHotPath:
-    """The shift solves, the Fermi energy and the fermionic observables run
-    on the quadrature-free polylog routes; quad stays an oracle."""
+    """The shift solves, the Fermi energy and the observables run on the
+    quadrature-free polylog routes; quad stays an oracle."""
 
     def test_never_calls_quad(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -293,3 +312,16 @@ class TestNoQuadratureOnHotPath:
         for nu, points in ((1.4, 2000), (1.1 + 3.0j, 600)):
             sol = saddle.solve_delta_quasi(nu, 0.1, SolverConfig(bracket_points=points))
             assert math.isfinite(sol.delta)
+        # the bosonic scan starts at z = e**-1e-6, within 1e-3 of the branch point
+        for d in (1, 3):
+            for z_mu in (0.5, 0.999, 1.0):
+                sp = SpeciesSpec(statistics=BOSON, z_mu=z_mu)
+                c = CouplingSpec(mode="h_T", value=0.3, d=d)
+                sol = saddle.solve_delta_constant(d, sp, c, T=1.0)
+                obs = thermo.observables_constant(sol, thermo.ThermoState(T=1.0, d=d), sp)
+                assert math.isfinite(obs.free_energy)
+        sp = SpeciesSpec(statistics=BOSON)
+        near = saddle.SaddleSolution(1e-5, math.exp(-1e-5), 0.0, 0)
+        for d in (1, 3, 5):
+            obs = thermo.observables_constant(near, thermo.ThermoState(T=1.0, d=d), sp)
+            assert math.isfinite(obs.density) and obs.density > 0.0

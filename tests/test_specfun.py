@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from gastba import specfun
@@ -40,6 +41,12 @@ class TestGamma:
             with pytest.raises(PoleError):
                 specfun.gamma(bad)
 
+    def test_real_on_the_real_axis(self):
+        for x in (-7.5, -1.5, -0.3, 0.5, 3.0, 20.25):
+            g = specfun.gamma(x)
+            assert g.imag == 0.0
+            assert g.real == pytest.approx(math.gamma(x), rel=1e-13)
+
     def test_twelve_digits_within_disk(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -65,6 +72,82 @@ class TestGamma:
             rhs = math.sqrt(math.pi) * 2.0 ** (-2 * nu) * specfun.gamma(0.5 - nu)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
             checked += 1
+
+
+class TestLogGamma:
+    """The in-repo principal branch against scipy's loggamma (Hare 1997 as
+    well) and, on a smaller sample, against mpmath. One ulp of log Gamma is
+    over 1e-13 where |log Gamma| > 512, so the bound is 1e-13 plus 4 ulp."""
+
+    @staticmethod
+    def _grid():
+        rng = np.random.default_rng(41)
+        wide = rng.uniform(-20, 60, 20000) + 1j * rng.uniform(-400, 400, 20000)
+        small = rng.uniform(-20, 60, 20000) + 1j * rng.uniform(-8, 8, 20000)
+        axis = rng.uniform(-20, 0, 4000) + 1j * rng.choice(
+            [1e-300, 1e-12, -1e-12, 1e-6, -1e-6, 0.0], 4000)
+        z = np.concatenate([wide, small, axis])
+        return z[np.abs(z - np.round(z.real)) > 1e-9]  # off the poles
+
+    def test_matches_scipy_on_principal_branch(self):
+        z = self._grid()
+        ours = specfun.loggamma(z)
+        ref = scipy.special.loggamma(z)
+        assert np.all(np.abs(ours - ref) <= 1e-13 + 4 * np.spacing(np.abs(ref)))
+
+    def test_matches_mpmath(self):
+        rng = np.random.default_rng(43)
+        z = self._grid()[rng.choice(44000, 300, replace=False)]
+        for x in z:
+            ref = complex(mp.loggamma(mp.mpc(x)))
+            assert abs(specfun.loggamma(x) - ref) <= 1e-13 + 4 * np.spacing(abs(ref))
+
+    def test_scalar_and_array_agree(self):
+        z = np.array([0.3 + 0.2j, -4.5 + 1e-9j, 12.0 - 3.0j, 0.5 + 300j, 2.0])
+        arr = specfun.loggamma(z)
+        assert arr.shape == z.shape
+        for x, v in zip(z, arr):
+            assert isinstance(specfun.loggamma(x), complex)
+            assert specfun.loggamma(x) == v
+
+    def test_real_positive_is_real(self):
+        for x in (0.25, 1.0, 2.5, 30.0):
+            lg = specfun.loggamma(x)
+            assert lg.imag == 0.0
+            assert lg.real == pytest.approx(math.lgamma(x), abs=4e-15)
+
+
+class TestBernoulliTable:
+    def test_literals_and_tail(self):
+        b = specfun._bernoulli_ratios(40)
+        for j in range(1, 41):
+            ref = float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
+            assert b[j - 1] == pytest.approx(ref, rel=4e-16)
+
+
+class TestExpit:
+    """Both tails keep full relative accuracy. scipy's expit, itself up to
+    2 ulp from the correctly rounded value, flushes to 0 below -709.8."""
+
+    def test_within_two_ulp_of_mpmath(self):
+        rng = np.random.default_rng(47)
+        x = np.concatenate([rng.uniform(-745, 750, 1500), rng.uniform(-40, 40, 1500)])
+        ours = specfun.expit(x)
+        with mp.workdps(40):
+            ref = np.array([float(1 / (1 + mp.exp(-mp.mpf(v)))) for v in x])
+        assert np.all(np.abs(ours - ref) <= 2 * np.spacing(np.maximum(ref, 5e-324)))
+
+    def test_against_scipy(self):
+        x = np.linspace(-750.0, 750.0, 300001)
+        ours = specfun.expit(x)
+        ref = scipy.special.expit(x)
+        normal = x > -700.0
+        # scipy takes 1/(1 + e**-x) with the C library's exp, this e/(1 + e)
+        # below 0 with numpy's: each rounds within 2 ulp, so they differ by 4 at most
+        ulp = np.spacing(np.minimum(ours, ref))[normal]
+        assert np.all(np.abs(ours - ref)[normal] <= 4 * ulp)
+        assert np.array_equal(ours[~normal], np.exp(x[~normal]))
+        assert specfun.expit(-740.0) > 0.0 and specfun.expit(750.0) == 1.0
 
 
 class TestZeta:
@@ -155,6 +238,49 @@ class TestPolylogSeries:
         assert specfun.polylog_series(-1.0, z).real == pytest.approx(
             z / (1 - z) ** 2, rel=1e-13
         )
+
+
+class TestExpansionAboutPlusOne:
+    """Non-integer orders with Re nu > 0 within 1e-3 of z = 1 take the
+    expansion about z = 1 rather than the Bose integral."""
+
+    @staticmethod
+    def _orders():
+        rng = np.random.default_rng(53)
+        near = [n + s * d for n in (1, 2, 3) for s in (-1, 1)
+                for d in np.exp(rng.uniform(math.log(1e-6), math.log(1e-4), 2))]
+        near = [x for x in near if x > 0]
+        wide = [complex(rng.uniform(0.05, 5.0), rng.uniform(-6.0, 6.0)) for _ in range(10)]
+        return [0.5, 1.5, 2.5, 3.5, 0.7 + 3j, 1.3 - 2j] + near + wide
+
+    def test_error_estimate_bounds_true_error(self):
+        rng = np.random.default_rng(59)
+        for nu in self._orders():
+            for gap in np.exp(rng.uniform(math.log(1e-10), math.log(9.9e-4), 3)):
+                z = 1.0 - gap
+                r = specfun.polylog_series_eval(nu, z)
+                with mp.workdps(40):
+                    ref = complex(mp.polylog(mp.mpc(nu), mp.mpf(z)))
+                err = abs(r.value - ref)
+                assert err <= r.abs_error_estimate, (nu, gap, err, r.abs_error_estimate)
+                assert r.abs_error_estimate <= 1e-8 * abs(ref)
+
+    def test_order_just_above_one(self):
+        # 1 - 2**(1-w) cancels at w -> 1; expm1 keeps the scale accurate
+        r = specfun.polylog_series_eval(1.0001, 1.0 - 1e-6)
+        ref = complex(mp.polylog(mp.mpf("1.0001"), mp.mpf(1.0 - 1e-6)))
+        assert abs(r.value - ref) <= 1e-11 * abs(ref)
+        assert abs(r.value - ref) <= r.abs_error_estimate
+
+    def test_no_quadrature_off_integer_orders(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", forbidden)
+        for nu in (0.5, 1.5, 2.5, 0.7 + 3j):
+            specfun.polylog_series(nu, 1.0 - 1e-6)
+        with pytest.raises(AssertionError):  # integer orders keep the Bose integral
+            specfun.polylog_series(2.0, 1.0 - 1e-6)
 
 
 class TestFermiDiracPolylog:
@@ -314,6 +440,21 @@ class TestRogersDilog:
             lhs = specfun.rogers_dilog(z) + specfun.rogers_dilog(-z / (1 - z))
             assert lhs == pytest.approx(0.0, abs=1e-11)
 
+    def test_matches_spence_form(self):
+        z = np.linspace(-50.0, 1.0, 20001)[:-1]
+        z = z[z != 0.0]
+        ours = np.array([specfun.rogers_dilog(x) for x in z])
+        ref = scipy.special.spence(1.0 - z) + 0.5 * np.log(np.abs(z)) * np.log1p(-z)
+        assert np.all(np.abs(ours - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_li2_against_mpmath(self):
+        rng = np.random.default_rng(61)
+        xs = np.concatenate([rng.uniform(-50, 1, 100), -np.exp(rng.uniform(-20, 8, 50)),
+                             1 - np.exp(rng.uniform(-30, -1, 50))])
+        for x in xs:
+            ref = float(mp.polylog(2, x))
+            assert specfun._li2_real(x) == pytest.approx(ref, rel=1e-15, abs=1e-16)
+
     def test_matches_series_route(self):
         rng = np.random.default_rng(19)
         for z in rng.uniform(-0.99, 0.99, size=50):
@@ -357,6 +498,11 @@ class TestEvalResults:
         line = specfun.dirichlet_eta_line(0.5, ts)
         for t, g in zip(ts, line):
             assert abs(g - specfun.dirichlet_eta(complex(0.5, t))) < 1e-13
+
+    def test_fermi_quadrature_refuses_underflowing_gamma(self):
+        # |Gamma(1/2 + 600.5 i)| ~ e**-942 is below the normal doubles
+        with pytest.raises(DomainError):
+            specfun.fermi_dirac_polylog_eval(0.5 + 600.5j, 1.0, tol=math.inf)
 
     def test_fermi_eval_reports_nodes(self):
         r = specfun.fermi_dirac_polylog_eval(1.5, 2.0)
