@@ -1,8 +1,9 @@
 """Scan the critical strip for zeta zeros and tie them to free-gas behavior.
 
-On the line sigma = 1/2 the scanner flags dips of |eta|, Newton-refines
-them, and re-verifies |zeta| < 1e-8 through the independent Fermi-Dirac
-integral route. A refined zero makes delta = 0 solve the quasi-periodic
+On the line sigma = 1/2 the scanner finds the sign changes of Hardy's
+Z(t), refines them by Brent's method, confirms each through zeta by
+Euler-Maclaurin, and proves the list complete by Turing's method. A
+refined zero makes delta = 0 solve the quasi-periodic
 constant-shift equation at every temperature: the interacting gas shows
 free-gas pressure.
 """

@@ -25,7 +25,6 @@ from .errors import (
 from .riemann import (
     CasimirCheck,
     QuasiKernelSpec,
-    ScanConfig,
     ZeroCandidate,
     casimir_channel_check,
     check_duality,

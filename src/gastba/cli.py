@@ -269,8 +269,10 @@ def _cmd_profile(args) -> dict:
 
 
 def _cmd_zeros(args) -> dict:
-    cfg = riemann.ScanConfig(dt=args.dt, flag_threshold=args.threshold)
-    cands = riemann.find_zeros(args.sigma, args.t_min, args.t_max, cfg)
+    if args.sigma == 0.5:
+        cands, count = riemann.critical_line_zeros(args.t_min, args.t_max)
+    else:
+        cands, count = riemann.find_zeros(args.sigma, args.t_min, args.t_max), None
     rows = [
         {
             "sigma": complex(c.nu).real,
@@ -286,6 +288,7 @@ def _cmd_zeros(args) -> dict:
         "t_min": args.t_min,
         "t_max": args.t_max,
         "count": len(rows),
+        "turing_count": count,
         "rows": rows,
     }
 
@@ -395,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t-min", type=float, required=True, dest="t_min")
     p.add_argument("--t-max", type=float, required=True, dest="t_max")
-    p.add_argument("--dt", type=float, default=0.02)
-    p.add_argument("--threshold", type=float, default=0.05)
     common(p)
 
     p = sub.add_parser("duality", help="xi(nu) = xi(1-nu) residual")

@@ -36,6 +36,12 @@ n >= 2 within 1e-3 of z = 1 meet the pole of zeta(nu - k) at k = n - 1 and
 go to the Bose integral. The quadrature routes, bose_polylog_integral and
 fermi_dirac_polylog, are kept as independent oracles.
 
+eta holds double precision up to |Im nu| = ETA_T_MAX = 550 with its
+360-term cap; past that height dirichlet_eta(_eval) and dirichlet_eta_line
+raise DomainError. zeta_em_eval sums zeta(nu) by Euler-Maclaurin, the
+Hurwitz code of the inversion route at a = 1, with an error bound: a route
+to zeta that shares nothing with the eta series.
+
 Branch convention: logarithms are principal everywhere, so for k > 0 the
 power k**w means exp(w*log(k)).
 """
@@ -69,6 +75,11 @@ _NEAR_TERMS = 64  # terms of the expansions about z = -1 and z = 1: (1.5/pi)**64
 _EM_TERMS = 16  # Euler-Maclaurin Bernoulli terms beyond ceil(Re nu)
 _BLOCK = 256  # points per block of polylog_neg_exp_array
 _EM_WIDEN = 1.25  # |N + a| >= 1.25 (|s| + 2m)/(2 pi): the Bernoulli terms fall throughout
+_CRVZ_CAP = 360  # most terms of the accelerated eta series
+# Height up to which the capped eta series holds double precision: measured
+# against mpmath at sigma = 1/2, its error is at the rounding floor (6.7e-13
+# at t = 550), then 1.8e-8 at 600, 5e-3 at 700 and 0.7 at 800.
+ETA_T_MAX = 550.0
 
 
 @dataclass(frozen=True)
@@ -142,13 +153,15 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
 _STIRLING_MIN = 7.0  # the series holds to double precision for Re z > 7 or |Im z| > 7
 
 
-def _stirling(z: np.ndarray) -> np.ndarray:
+def _stirling(z, log=np.log):
+    """The Stirling series of log Gamma(z), over an array, or over a complex
+    scalar with log=cmath.log."""
     r = 1.0 / z
     r2 = r * r
-    poly = np.zeros_like(z)
+    poly = 0.0
     for c in reversed(_STIRLING):
         poly = poly * r2 + c
-    return (z - 0.5) * np.log(z) - z + _LOG_SQRT_2PI + r * poly
+    return (z - 0.5) * log(z) - z + _LOG_SQRT_2PI + r * poly
 
 
 def _loggamma_shift(z: np.ndarray) -> np.ndarray:
@@ -202,11 +215,12 @@ def gamma(nu) -> complex:
 def _crvz_terms(tol: float, t: float) -> int:
     """Series length for the accelerated alternating sum.
 
-    The acceleration error scales like (3+sqrt(8))**(-n) amplified by
-    exp(pi*|Im nu|/2) off the real axis.
+    The acceleration error is at most 2 TV (3+sqrt(8))**(-n), where the total
+    variation TV of the measure behind (k+1)**-nu grows like exp(pi*|Im nu|/2)
+    off the real axis (Cohen, Rodriguez Villegas and Zagier 2000).
     """
     n = int(math.ceil((-math.log(tol) + 0.5 * math.pi * abs(t)) / _LOG_CRVZ)) + 12
-    return min(n, 360)
+    return min(n, _CRVZ_CAP)
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,35 +241,88 @@ def _crvz_weights(n: int) -> np.ndarray:
     return w
 
 
-def dirichlet_eta_eval(nu, tol: float = 1e-15) -> EvalResult:
-    """eta(nu) = sum (-1)**(n-1) n**(-nu), accelerated; valid on the whole plane
-    in the sense of analytic continuation, accurate for moderate |Im nu|."""
-    z = _order(nu)
+def _check_eta_height(t: float) -> None:
+    if not abs(t) <= ETA_T_MAX:
+        raise DomainError(
+            f"|Im nu| = {abs(t):.6g} lies past {ETA_T_MAX:g}, the height up to which"
+            f" the {_CRVZ_CAP}-term eta series holds double precision"
+        )
+
+
+_LOGK = np.log(np.arange(1, _CRVZ_CAP + 1, dtype=float))  # log k, k <= _CRVZ_CAP
+
+
+@functools.lru_cache(maxsize=8)
+def _k_power(sigma: float) -> np.ndarray:
+    """k**-sigma for k <= _CRVZ_CAP (read-only: the cache shares it)."""
+    out = np.exp(-sigma * _LOGK)
+    out.flags.writeable = False
+    return out
+
+
+def _eta_sum(z: complex, tol: float):
+    """The n-term accelerated sum for eta(z), its terms k**-z and n."""
+    _check_eta_height(z.imag)
     n = _crvz_terms(tol, z.imag)
-    k = np.arange(1, n + 1, dtype=float)
-    a = np.exp(-z * np.log(k))
-    s = complex(_crvz_weights(n) @ a)
-    # acceleration remainder plus floating-point roundoff of the weighted sum
-    rem = math.exp(0.5 * math.pi * abs(z.imag) - n * _LOG_CRVZ)
-    rnd = 4.0 * n * _EPS * float(np.max(np.abs(a)))
-    return EvalResult(s, rem + rnd, n)
+    a = np.exp(-z * _LOGK[:n])
+    return complex(_crvz_weights(n) @ a), a, n
+
+
+def dirichlet_eta_eval(nu, tol: float = 1e-15) -> EvalResult:
+    """eta(nu) = sum (-1)**(n-1) n**(-nu), accelerated; the analytic
+    continuation on the whole plane, for |Im nu| <= ETA_T_MAX.
+
+    The estimate adds the rounding of the weighted sum (each term's phase
+    t log k is rounded to eps relative, and the n roundings add up like a
+    random walk) to the truncation: the total-variation bound while the
+    term count is below the cap; where the cap binds that bound no longer
+    reaches, and the distance to (1 - 2**(1-nu)) zeta(nu) by Euler-Maclaurin,
+    plus that route's own bound, takes its place.
+    """
+    z = _order(nu)
+    s, a, n = _eta_sum(z, tol)
+    wa = np.abs(_crvz_weights(n)) * np.abs(a)
+    rnd = _EPS * (4.0 * float(np.sum(wa))
+                  + 3.0 * abs(z) * math.sqrt(float(np.sum((wa * _LOGK[:n]) ** 2))))
+    if n < _CRVZ_CAP:
+        return EvalResult(s, math.exp(0.5 * math.pi * abs(z.imag) - n * _LOG_CRVZ) + rnd, n)
+    em = zeta_em_eval(z)
+    pref = _eta_prefactor(z)
+    err = abs(s - pref * em.value) + abs(pref) * em.abs_error_estimate + 2.0 * _EPS * abs(s)
+    return EvalResult(s, err, n + em.terms_or_nodes_used)
+
+
+def _eta_line_sums(sigma: float, ts: np.ndarray, slope: bool) -> np.ndarray:
+    """Columns eta(sigma + i t) and, with slope, d eta/dt for every t of ts
+    (nonempty): the weighted amplitudes k**-sigma, and the same times
+    -i log k, against e**(-i t log k). Raises DomainError past ETA_T_MAX."""
+    top = float(np.max(np.abs(ts)))
+    _check_eta_height(top)
+    n = _crvz_terms(1e-15, top)
+    logk = _LOGK[:n]
+    wa = _crvz_weights(n) * _k_power(sigma)[:n]
+    amps = np.stack([wa, wa * logk], axis=1) if slope else wa[:, None]
+    phase = np.multiply.outer(ts, logk)
+    c, s = np.cos(phase) @ amps, np.sin(phase) @ amps
+    out = c - 1j * s
+    if slope:
+        out[:, 1] = -s[:, 1] - 1j * c[:, 1]
+    return out
 
 
 def dirichlet_eta_line(sigma: float, ts) -> np.ndarray:
     """eta(sigma + i t) for every t of ts: one weighted sum per height, with
-    the term count of the largest |t|, so at least as many as eta_eval's."""
+    the term count of the largest |t|, so at least as many as eta_eval's.
+    Raises DomainError where some |t| exceeds ETA_T_MAX."""
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.empty(0, dtype=complex)
-    n = _crvz_terms(1e-15, float(np.max(np.abs(ts))))
-    logk = np.log(np.arange(1, n + 1, dtype=float))
-    wa = _crvz_weights(n) * np.exp(-sigma * logk)
-    phase = np.multiply.outer(ts, logk)
-    return np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
+    return _eta_line_sums(sigma, ts, False)[:, 0]
 
 
 def dirichlet_eta(nu) -> complex:
-    return dirichlet_eta_eval(nu).value
+    """Value-only dirichlet_eta_eval: the same sum, without the estimate."""
+    return _eta_sum(_order(nu), 1e-15)[0]
 
 
 def _eta_prefactor(z: complex) -> complex:
@@ -428,38 +495,52 @@ def _li_about_minus_one(nu: complex, mu: np.ndarray):
 
 
 @functools.lru_cache(maxsize=64)
-def _inversion_setup(nu: complex):
-    """Constants of the inversion route for one order (Im nu >= 0).
-
-    Returns the prefactor (2 pi)**nu e**(i pi nu/2) / Gamma(nu) with its
-    relative error, s = 1 - nu, the Euler-Maclaurin coefficients
-    B_2j/(2j)! (s)_{2j-1} and the powers s + 2j - 1 they go with, the
-    remainder exponent q and constant, and the radius R0 that |N + a| must
-    reach before the Euler-Maclaurin tail is used.
-    """
+def _inversion_prefactor(nu: complex) -> tuple[complex, float]:
+    """(2 pi)**nu e**(i pi nu/2) / Gamma(nu), the prefactor of the inversion
+    route for one order (Im nu >= 0), with its relative error."""
     lg = loggamma(nu)
-    lpref = nu * math.log(2.0 * math.pi) + 0.5j * math.pi * nu - lg
-    pref = cmath.exp(lpref)
-    pref_rel = 8.0 * _EPS * (1.0 + abs(lg) + abs(nu) * 3.0)
-    s = 1.0 - nu
-    m = _EM_TERMS + math.ceil(max(nu.real, 0.0))
+    pref = cmath.exp(nu * math.log(2.0 * math.pi) + 0.5j * math.pi * nu - lg)
+    return pref, 8.0 * _EPS * (1.0 + abs(lg) + abs(nu) * 3.0)
+
+
+def _em_constants(s: np.ndarray):
+    """Constants of the Euler-Maclaurin sum for zeta(s, a), for each s of a
+    1-d array, with one Bernoulli order m for all: that of the least Re s.
+
+    Returns the coefficients B_2j/(2j)! (s)_{2j-1} and the powers
+    s + 2j - 1 they go with (one row per s), the remainder exponent q and
+    constant, and the radius R0 that |N + a| must reach before the tail is
+    used: wide enough that the Bernoulli terms fall throughout, and, for
+    large |s|, that the remainder is below e**-_LOG_TINY.
+    """
+    m = _EM_TERMS + math.ceil(max(1.0 - float(np.min(s.real)), 0.0))
     j = np.arange(1, m + 1)
-    bern = _bernoulli_ratios(m)
-    rising = np.cumprod(s + np.arange(2 * m + 1))  # (s)_1 ... (s)_{2m+1}
-    coef = bern * rising[2 * j - 2]
+    rising = np.cumprod(s[:, None] + np.arange(2 * m + 1), axis=1)  # (s)_1 ... (s)_{2m+1}
+    coef = _bernoulli_ratios(m) * rising[:, 2 * j - 2]
     q = s.real + 2 * m + 1
     # |B~_{2m+1}|/(2m+1)! <= 2 zeta(2m+1)/(2 pi)**(2m+1), with
     # zeta(2m+1) <= 1 + 2**-(2m+1) + 2**-2m/(2m) (the sum past n = 2 is below its
-    # integral), and
+    # integral), and, for N + Re a >= 0,
     # int_N^inf |x + a|**-q dx <= |N + a|**(1-q) sqrt(pi)/2 Gamma((q-1)/2)/Gamma(q/2)
     zeta_odd = 1.0 + 2.0 ** (-2 * m - 1) + 2.0 ** (-2 * m) / (2 * m)
-    rem = (2.0 * zeta_odd / (2.0 * math.pi) ** (2 * m + 1) * abs(rising[-1])
-           * 0.5 * math.sqrt(math.pi)
-           * math.exp(math.lgamma(0.5 * (q - 1.0)) - math.lgamma(0.5 * q)))
-    r0 = _EM_WIDEN * (abs(s) + 2 * m) / (2.0 * math.pi)
-    return pref, pref_rel, s, coef, s + 2.0 * j - 1.0, q, rem, r0
+    gamma_ratio = np.exp([math.lgamma(0.5 * (x - 1.0)) - math.lgamma(0.5 * x) for x in q])
+    rem = (2.0 * zeta_odd / (2.0 * math.pi) ** (2 * m + 1) * np.abs(rising[:, -1])
+           * 0.5 * math.sqrt(math.pi) * gamma_ratio)
+    with np.errstate(divide="ignore"):  # rem = 0 where (s)_{2m+1} = 0: no tail
+        r_tail = np.exp((np.log(rem) + _LOG_TINY) / (q - 1.0))
+    r0 = np.maximum(_EM_WIDEN * (np.abs(s) + 2 * m) / (2.0 * math.pi), r_tail)
+    return coef, s[:, None] + 2.0 * j - 1.0, q, rem, r0
 
 
+@functools.lru_cache(maxsize=64)
+def _em_setup(s: complex):
+    """_em_constants for one order, as one row and scalars, cached: the
+    inversion route reuses it."""
+    coef, powers, q, rem, r0 = _em_constants(np.array([s]))
+    return coef[0], powers[0], float(q[0]), float(rem[0]), float(r0[0])
+
+
+@functools.lru_cache(maxsize=16)
 def _bernoulli_ratios(m: int) -> np.ndarray:
     """B_2j/(2j)! for j = 1..m: the literals, then for j > 16
     (-1)**(j+1) 2 zeta(2j)/(2 pi)**(2j) with zeta(2j) = 1 + 2**-2j + 3**-2j + 4**-2j
@@ -467,42 +548,84 @@ def _bernoulli_ratios(m: int) -> np.ndarray:
     j = np.arange(len(_BERN) + 1, m + 1)
     zeta_2j = 1.0 + 4.0 ** -j + 9.0 ** -j + 16.0 ** -j
     tail = (-1.0) ** (j + 1) * 2.0 * zeta_2j / (2.0 * math.pi) ** (2 * j)
-    return np.concatenate([_BERN, tail])[:m]
+    out = np.concatenate([_BERN, tail])[:m]
+    out.flags.writeable = False
+    return out
 
 
-def _hurwitz_em(nu: complex, a: np.ndarray):
-    """zeta(1 - nu, a) for Re a = 1/2, Im a < 0, by Euler-Maclaurin."""
-    _, _, s, coef, powers, q, rem, r0 = _inversion_setup(nu)
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of x dotted with y, or with the same row of y."""
+    return x @ y if y.ndim == 1 else np.einsum("ij,ij->i", x, y)
+
+
+def _hurwitz_em(s, a):
+    """zeta(s, a) for Re a > 0 by Euler-Maclaurin, elementwise over 1-d
+    arrays: one complex order s for an array of a, or an array of s for one
+    a. The terms below N go directly, where N is the least with
+    |N + a| >= R0, then the integral, half the first term left out and the
+    Bernoulli tail."""
+    a = np.asarray(a, dtype=complex)
+    if np.ndim(s) == 0:
+        s = s_col = complex(s)
+        coef, powers, q, rem, r0 = _em_setup(s)
+    else:
+        s = np.asarray(s, dtype=complex)
+        s_col = s[:, None]
+        coef, powers, q, rem, r0 = _em_constants(s)
     b = np.abs(a.imag)
-    n_direct = np.ceil(np.sqrt(np.maximum(r0 * r0 - b * b, 0.0)) - 0.5).astype(int)
+    n_direct = np.ceil(np.sqrt(np.maximum(r0 * r0 - b * b, 0.0)) - a.real).astype(int)
     n_direct = np.maximum(n_direct, 0)
-    val = np.zeros(a.shape, dtype=complex)
-    err = np.zeros(a.shape)
+    val = np.zeros(n_direct.shape, dtype=complex)
+    err = np.zeros(n_direct.shape)
     top = int(n_direct.max())
     if top:
         k = np.arange(top, dtype=float)
-        lx = np.log(np.add.outer(a, k))
-        t = np.where(k < n_direct[:, None], np.exp(-s * lx), 0.0)
+        lx = np.log(np.add.outer(a.reshape(-1), k))
+        t = np.where(k < n_direct[:, None], np.exp(-s_col * lx), 0.0)
         val += t.sum(axis=1)
-        err += _EPS * np.sum(np.abs(t) * (4.0 + abs(s) * np.abs(lx)), axis=1)
+        err += _EPS * np.sum(np.abs(t) * (4.0 + np.abs(s_col) * np.abs(lx)), axis=1)
     x = a + n_direct
     lx = np.log(x)
     half = 0.5 * np.exp(-s * lx)
     lead = 2.0 * half * x / (s - 1.0)
-    pw = np.exp(-np.multiply.outer(lx, powers))
-    val += lead + half + pw @ coef
-    err += _EPS * ((4.0 + abs(1.0 - s) * np.abs(lx)) * np.abs(lead)
-                   + (4.0 + abs(s) * np.abs(lx)) * np.abs(half)
-                   + (4.0 + (abs(s) + 2.0 * len(coef)) * np.abs(lx)) * (np.abs(pw) @ np.abs(coef)))
-    err += rem * np.exp(-s.imag * np.abs(np.angle(x)) + (1.0 - q) * np.log(np.abs(x)))
-    return val, err, top + len(coef) + 2
+    pw = np.exp(-lx[:, None] * powers)
+    val += lead + half + _row_dot(pw, coef)
+    err += _EPS * ((4.0 + np.abs(1.0 - s) * np.abs(lx)) * np.abs(lead)
+                   + (4.0 + np.abs(s) * np.abs(lx)) * np.abs(half)
+                   + (4.0 + (np.abs(s) + 2.0 * coef.shape[-1]) * np.abs(lx))
+                   * _row_dot(np.abs(pw), np.abs(coef)))
+    # |(x + u)**-(s + 2m + 1)| = |x + u|**-q e**(Im s arg(x + u)), and arg(x + u)
+    # shrinks towards 0 as u runs from 0 to infinity
+    turn = np.maximum(np.imag(s) * np.angle(x), 0.0)
+    err += rem * np.exp(turn + (1.0 - q) * np.log(np.abs(x)))
+    return val, err, top + coef.shape[-1] + 2
+
+
+def zeta_em_eval(nu) -> EvalResult:
+    """zeta(nu) = zeta(nu, 1) by Euler-Maclaurin, with its error bound, for
+    one order or elementwise over a 1-d array of orders.
+
+    A route independent of the eta series: sum_{n<=N} n**-nu, the integral
+    (N+1)**(1-nu)/(nu-1), half the next term and the Bernoulli tail, with
+    N set by the remainder bound, about |nu|/2 at large |Im nu|.
+    """
+    z = np.asarray(nu, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise DomainError(f"non-finite order {nu!r}")
+    if np.any(z == 1.0):
+        raise PoleError("zeta pole at nu = 1")
+    val, err, n = _hurwitz_em(z.reshape(-1), 1.0)
+    err = err + 2.0 * _EPS * np.abs(val)
+    if z.ndim == 0:
+        return EvalResult(complex(val[0]), float(err[0]), n)
+    return EvalResult(val, err, n)
 
 
 def _li_inversion(nu: complex, mu: np.ndarray):
     """Li_nu(-e**mu) = (2 pi)**nu e**(i pi nu/2)/Gamma(nu) zeta(1-nu, 1/2 - i mu/2 pi)
     - e**(i pi nu) Li_nu(-e**-mu), for mu > 0, Re nu > 0 and Im nu >= 0."""
-    pref, pref_rel, *_ = _inversion_setup(nu)
-    z, z_err, n_em = _hurwitz_em(nu, 0.5 - 1j * mu / (2.0 * math.pi))
+    pref, pref_rel = _inversion_prefactor(nu)
+    z, z_err, n_em = _hurwitz_em(1.0 - nu, 0.5 - 1j * mu / (2.0 * math.pi))
     back, back_err, n_back = _li_series(nu, -mu)
     rot = cmath.exp(1j * math.pi * nu)
     head = pref * z

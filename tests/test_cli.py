@@ -40,6 +40,13 @@ class TestParsing:
             cli.main(["zeros", "--sigma", "0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--dt"])
+    def test_zeros_has_no_scan_knobs(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zeros", "--sigma", "0.5", "--t-min", "10", "--t-max", "30",
+                      flag, "0.05"])
+        assert exc.value.code == 2
+
     def test_charge_parses_species_flag(self):
         parser = cli.build_parser()
         args = parser.parse_args(["charge", "--species", "susy.json"])
@@ -99,6 +106,20 @@ class TestRun:
         doc = json.loads(out)
         assert doc["count"] == 1
         assert doc["rows"][0]["refined"] is True
+
+    def test_zeros_turing_count(self, capsys):
+        code, out, _ = run_cli(
+            ["zeros", "--sigma", "0.5", "--t-min", "10", "--t-max", "30"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["turing_count"] == 3
+        assert sum(row["refined"] for row in doc["rows"]) == 3
+        code, out, _ = run_cli(
+            ["zeros", "--sigma", "0.9", "--t-min", "10", "--t-max", "30"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["turing_count"] is None
 
     def test_duality_command(self, capsys):
         code, out, _ = run_cli(["duality", "--nu-re", "0.3", "--nu-im", "5"], capsys)
@@ -165,6 +186,12 @@ class TestBadInput:
         self._expect_error(["zeros", "--sigma", "0.5", "--t-min", "600", "--t-max", "602"],
                            capsys, "DomainError")
 
+    @pytest.mark.parametrize("t_min", ["1000", "5000"])
+    def test_zeros_past_the_eta_height(self, t_min, capsys):
+        t_max = str(float(t_min) + 10.0)
+        self._expect_error(["zeros", "--sigma", "0.5", "--t-min", t_min, "--t-max", t_max],
+                           capsys, "DomainError")
+
 
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
@@ -177,7 +204,8 @@ argvs += [["charge", "--statistics", "boson", "--h", "1.5"],
           ["bec", "--d", "3", "--h-t", "0.5"],
           ["fermi", "--d", "3", "--n", "1", "--T", "0.5"],
           ["duality", "--nu-re", "0.3", "--nu-im", "5"],
-          ["profile", "--nu-re", "1.4", "--T", "0.1", "--grid-points", "64"]]
+          ["profile", "--nu-re", "1.4", "--T", "0.1", "--grid-points", "64"],
+          ["zeros", "--sigma", "0.5", "--t-min", "20.9", "--t-max", "21.1"]]
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
@@ -186,7 +214,7 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
-    """Every command but zeros and kernel-check runs without importing scipy."""
+    """Every command but kernel-check runs without importing scipy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])

@@ -290,3 +290,98 @@ class TestScannerSoundness:
             assert abs(complex(oracles.mp_zeta(nu, dps=30))) < 1e-8
             r = riemann.zeta_via_integral_eval(nu)
             assert abs(r.value) <= 1e-8 + 3 * r.abs_error_estimate
+
+
+# the zeros that a scan judged by an absolute |eta| threshold used to miss,
+# with their index n (the n-th zero above the real axis)
+_FORMERLY_MISSED = ((121.3701, 39), (158.850, 58), (161.189, 59), (187.229, 73),
+                    (211.691, 86), (241.049, 103), (258.610, 113), (269.970, 120),
+                    (301.649, 139), (310.110, 144))
+
+
+class TestCompleteness:
+    """Turing's method certifies each window: the scan returns every zero."""
+
+    def test_all_zeros_up_to_350(self):
+        cands, count = riemann.critical_line_zeros(10.0, 350.0)
+        assert count == len(cands) == int(mp.nzeros(350)) == 169
+        assert all(c.refined for c in cands)
+        with mp.workdps(20):
+            for c in cands:
+                t = complex(c.nu).imag
+                lo, hi = mp.siegelz(t - 1e-10), mp.siegelz(t + 1e-10)
+                assert lo * hi < 0, t
+        assert cands == riemann.find_zeros(0.5, 10.0, 350.0)
+
+    @pytest.mark.parametrize("t, n", _FORMERLY_MISSED)
+    def test_formerly_missed_zero(self, t, n):
+        cands = riemann.find_zeros(0.5, t - 2.5, t + 2.5)
+        near = min(cands, key=lambda c: abs(complex(c.nu).imag - t))
+        assert near.refined
+        with mp.workdps(20):
+            want = float(mp.zetazero(n).imag)
+        assert complex(near.nu).imag == pytest.approx(want, abs=1e-10)
+
+    def test_count_closes_a_skipped_close_pair(self, monkeypatch):
+        # with only the Gram points sampled, the Gram interval [g_126, g_127)
+        # shows no sign change although it holds the zeros 282.465 and
+        # 283.211: Turing's count must catch the gap and local halving
+        # must recover the pair
+        want, _ = riemann.critical_line_zeros(281.0, 285.0)
+        halved = []
+        halve = riemann._GramScan.halve
+
+        def spy(scan, cells):
+            halved.append(list(cells))
+            halve(scan, cells)
+
+        monkeypatch.setattr(riemann, "_scan_step", lambda t: math.inf)
+        monkeypatch.setattr(riemann._GramScan, "halve", spy)
+        got, count = riemann.critical_line_zeros(281.0, 285.0)
+        assert halved and all(set(cells) <= {125, 126} for cells in halved)
+        assert count == 3
+        assert [complex(c.nu).imag for c in got] == pytest.approx(
+            [complex(c.nu).imag for c in want], abs=1e-11)
+
+    @pytest.mark.parametrize("t_min", [600.0, 1000.0, 5000.0])
+    def test_refuses_past_the_eta_height(self, t_min):
+        with pytest.raises(DomainError):
+            riemann.find_zeros(0.5, t_min, t_min + 10.0)
+
+    def test_below_the_first_gram_point(self):
+        assert riemann.critical_line_zeros(0.0, 9.0) == ([], 0)
+        assert riemann.critical_line_zeros(0.0, 14.2)[1] == 1
+
+    def test_zeros_outside_the_window_are_dropped(self):
+        cands, count = riemann.critical_line_zeros(21.5, 24.9)
+        assert cands == [] and count == 0
+
+
+class TestOffLine:
+    def test_near_misses_are_flagged_but_not_refined(self):
+        # scanning sigma = 0.505, the dips of |eta| next to the zeros on the
+        # line are deep against their neighbours, yet no zero is there
+        on_line = [complex(c.nu).imag for c in riemann.find_zeros(0.5, 10.0, 50.0)]
+        cands = riemann.find_zeros(0.505, 10.0, 50.0)
+        assert cands
+        for c in cands:
+            assert not c.refined
+            assert min(abs(complex(c.nu).imag - t) for t in on_line) < 0.05
+
+
+class TestNoQuadratureOnHotPath:
+    """The zero scan and the zero identities run without quadrature; the
+    Fermi-Dirac route stays an oracle."""
+
+    def test_never_calls_quad(self, monkeypatch):
+        import scipy.integrate
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad called on the hot path")
+
+        monkeypatch.setattr(scipy.integrate, "quad", forbidden)
+        cands = riemann.find_zeros(0.5, 10.0, 50.0)
+        assert len(cands) == 10
+        for c in cands:
+            assert riemann.verify_zero_delta(c, (0.1, 1.0, 10.0)) < 1e-10
+            assert riemann.check_duality(c.nu) < 1e-12

@@ -508,3 +508,54 @@ class TestEvalResults:
         r = specfun.fermi_dirac_polylog_eval(1.5, 2.0)
         assert r.terms_or_nodes_used > 0
         assert r.abs_error_estimate < 1e-9
+
+
+class TestEtaHeight:
+    """The accelerated eta series holds double precision up to
+    ETA_T_MAX = 550; its estimate bounds the error against mpmath there
+    without being orders of magnitude loose, and beyond it both eta routes
+    refuse with DomainError."""
+
+    @pytest.mark.parametrize("t", [100.0, 400.0, 550.0])
+    def test_estimate_bounds_and_is_tight(self, t):
+        nu = complex(0.5, t)
+        r = specfun.dirichlet_eta_eval(nu)
+        err = abs(r.value - complex(oracles.mp_eta(nu)))
+        assert err <= r.abs_error_estimate <= 100.0 * max(err, 1e-15 * abs(r.value))
+        line = specfun.dirichlet_eta_line(0.5, [t])[0]
+        assert abs(line - r.value) <= r.abs_error_estimate
+
+    @pytest.mark.parametrize("t", [600.0, 700.0, 1000.0, 5000.0])
+    def test_refuses_past_the_height(self, t):
+        with pytest.raises(DomainError):
+            specfun.dirichlet_eta_eval(complex(0.5, t))
+        with pytest.raises(DomainError):
+            specfun.dirichlet_eta_line(0.5, [t - 1.0, t])
+        with pytest.raises(DomainError):
+            specfun.dirichlet_eta(complex(0.5, -t))
+
+
+class TestZetaEulerMaclaurin:
+    def test_bound_holds_on_the_critical_line(self):
+        rng = np.random.default_rng(41)
+        ts = np.concatenate([rng.uniform(0.0, 550.0, 40), [0.0, 550.0]])
+        for t in ts:
+            nu = complex(0.5, t)
+            r = specfun.zeta_em_eval(nu)
+            assert abs(r.value - complex(oracles.mp_zeta(nu))) <= r.abs_error_estimate
+            assert r.abs_error_estimate < 1e-10
+
+    def test_array_matches_scalar(self):
+        nus = 0.5 + 1j * np.array([3.0, 14.134725141734695, 250.0])
+        r = specfun.zeta_em_eval(nus)
+        for nu, v, e in zip(nus, r.value, r.abs_error_estimate):
+            s = specfun.zeta_em_eval(nu)
+            assert abs(v - s.value) <= 1e-15 * max(abs(s.value), 1.0)
+            assert e == pytest.approx(s.abs_error_estimate, rel=1e-12)
+
+    def test_off_the_line_and_pole(self):
+        for nu in (2.0, 0.3 + 7j, -1.5 + 2j):
+            r = specfun.zeta_em_eval(nu)
+            assert abs(r.value - complex(oracles.mp_zeta(nu))) <= r.abs_error_estimate
+        with pytest.raises(PoleError):
+            specfun.zeta_em_eval(1.0)
