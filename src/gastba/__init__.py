@@ -58,6 +58,7 @@ from .specfun import (
     dirichlet_eta,
     fermi_dirac_polylog,
     gamma,
+    polylog,
     polylog_series,
     rogers_dilog,
     xi_function,

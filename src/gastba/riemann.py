@@ -608,7 +608,7 @@ def verify_zero_delta(candidate: ZeroCandidate, temperatures) -> float:
     """
     z = complex(candidate.nu)
     h_nu = quasi_coupling(z)
-    li = specfun.polylog_series(z, -1.0)
+    li = specfun.polylog(z, 0.0, -1).value
     worst = 0.0
     for temp in temperatures:
         if temp <= 0.0:

@@ -111,7 +111,7 @@ def coupling_h_T(coupling: CouplingSpec, T: float, mass: float) -> float:
 class SolverConfig:
     """Tolerances, iteration caps, damping, and grid/bracket parameters."""
 
-    tol: float | None = None  # default 1e-12 algebraic, 1e-10 quadrature-backed
+    tol: float | None = None  # default 1e-12 (2d), 1e-14 (multispecies), 1e-10 (shifts, profile)
     max_iter: int = 400
     damping: float = 0.5
     grid_points: int = 512
@@ -223,21 +223,12 @@ def solve_delta_constant(d: float, species: SpeciesSpec, coupling: CouplingSpec,
     order = d / 2.0
     log_zmu = math.log(z_mu)
 
-    if s == BOSON:
-        # bosonic polylog argument z_mu e**-delta must stay below 1; the
-        # 1e-6 margin keeps the near-branch-point evaluations well posed
-        def rhs(delta):
-            u = np.exp(log_zmu - delta)
-            return h * np.array([specfun.polylog_series(order, x).real for x in u])
+    def rhs(delta):
+        return s * h * specfun.polylog(order, log_zmu - delta, s).value.real
 
-        lo = max(log_zmu + 1e-6, cfg.delta_bracket[0])
-    else:
-
-        def rhs(delta):
-            return -h * specfun.polylog_neg_exp_array(order, log_zmu - delta).value.real
-
-        lo = cfg.delta_bracket[0]
-
+    # the bosonic argument z_mu e**-delta must stay below 1; the 1e-6 margin
+    # keeps the scan off the branch point
+    lo = max(log_zmu + 1e-6, cfg.delta_bracket[0]) if s == BOSON else cfg.delta_bracket[0]
     hi = cfg.delta_bracket[1]
     if lo >= hi:
         hi = lo + 20.0
@@ -400,7 +391,7 @@ def solve_delta_quasi(nu, T: float, cfg: SolverConfig | None = None) -> SaddleSo
     pref = cmath.exp((z - 1.0) * math.log(T)) * h_nu
 
     def residual_fun(delta):
-        return delta + (pref * specfun.polylog_neg_exp_array(z, -delta).value).real
+        return delta + (pref * specfun.polylog(z, -delta, -1).value).real
 
     lo, hi = cfg.delta_bracket
     roots = _scan_roots(residual_fun, lo, hi, cfg.bracket_points, 1e-9)
@@ -418,7 +409,7 @@ def solve_delta_quasi(nu, T: float, cfg: SolverConfig | None = None) -> SaddleSo
         )
     roots.sort(key=abs)
     delta = roots[0]
-    li = specfun.polylog_neg_exp_eval(z, -delta)
+    li = specfun.polylog(z, -delta, -1)
     res = abs(delta + (pref * li.value).real)
     noise_floor = 10.0 * abs(pref) * li.abs_error_estimate
     if res > max(tol, noise_floor):

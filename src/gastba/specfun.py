@@ -13,27 +13,10 @@ the Stirling and Euler-Maclaurin series are literals. Nothing here imports
 scipy, except the quadrature routes, which import scipy.integrate when they
 run.
 
-Li_nu(-e**mu) for every real mu comes from polylog_neg_exp_array, which
-takes an array of mu and uses no quadrature (Wood 1992, "The computation
-of polylogarithms"; Crandall 2006, "Note on fast polylogarithm
-computation"):
-
-- mu <= -ln 2: the power series;
-- -ln 2 < mu <= 0: the accelerated alternating sum, with cached weights
-  (for Re nu <= 0, accepted only for mu < 0, the expansion below instead);
-- 0 < mu <= 1.5: the expansion about z = -1, -sum_k eta(nu - k) mu**k/k!;
-- mu > 1.5: the inversion formula
-  Li_nu(-e**mu) = (2 pi)**nu e**(i pi nu/2)/Gamma(nu) zeta(1 - nu, 1/2 - i mu/2 pi)
-  - e**(i pi nu) Li_nu(-e**-mu), with the Hurwitz zeta by Euler-Maclaurin.
-
-Each value carries an error bound: rounding of every term plus the
-truncation or acceleration remainder. polylog_neg_exp(_eval), polylog_auto
-below -1 and polylog_series on [-1, 0) delegate to it. On (0, 1),
-polylog_series sums the power series. It expands about z = 1,
-Gamma(1 - nu) (-mu)**(nu - 1) + sum_k zeta(nu - k) mu**k/k!, for z > 1/2
-when Re nu <= 0 and for z within 1e-3 of 1 when Re nu > 0. Integer orders
-n >= 2 within 1e-3 of z = 1 meet the pole of zeta(nu - k) at k = n - 1 and
-go to the Bose integral. The quadrature routes, bose_polylog_integral and
+Li_nu(z) for real z comes from polylog(nu, log_abs_z, sign), array-in over
+mu = log|z|, without quadrature and with an error bound on every value; its
+docstring lists the routes. polylog_series(_eval), polylog_neg_exp(_eval) and
+polylog_auto wrap it. The quadrature routes, bose_polylog_integral and
 fermi_dirac_polylog, are kept as independent oracles.
 
 eta holds double precision up to |Im nu| = ETA_T_MAX = 550 with its
@@ -70,10 +53,10 @@ _LOG_PI = math.log(math.pi)
 _EPS = float(np.finfo(float).eps)
 _LOG_MIN_NORMAL = math.log(float(np.finfo(float).tiny))  # -708.4
 _LOG_TINY = 41.5  # truncation and acceleration errors are held below e**-41.5 ~ 1e-18
-_NEAR_MU = 1.5  # expansion about z = -1 on (0, _NEAR_MU], inversion beyond
+_NEAR_MU = 1.5  # expansion about z = -1 on (0, _NEAR_MU] at most, inversion beyond
 _NEAR_TERMS = 64  # terms of the expansions about z = -1 and z = 1: (1.5/pi)**64 ~ 3e-21
 _EM_TERMS = 16  # Euler-Maclaurin Bernoulli terms beyond ceil(Re nu)
-_BLOCK = 256  # points per block of polylog_neg_exp_array
+_BLOCK = 256  # points per block of polylog
 _EM_WIDEN = 1.25  # |N + a| >= 1.25 (|s| + 2m)/(2 pi): the Bernoulli terms fall throughout
 _CRVZ_CAP = 360  # most terms of the accelerated eta series
 # Height up to which the capped eta series holds double precision: measured
@@ -379,22 +362,6 @@ def xi_function(nu) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _polylog_series_direct(z_arg: float, nu: complex, tol: float) -> EvalResult:
-    """Direct power series for |z| < 1 (geometric convergence)."""
-    max_terms = 2_000_000
-    a = abs(z_arg)
-    s = 0.0 + 0.0j
-    zn = 1.0
-    for n in range(1, max_terms + 1):
-        zn *= z_arg
-        term = zn * cmath.exp(-nu * math.log(n))
-        s += term
-        if abs(term) < tol * (1.0 + abs(s)) and n > 4:
-            tail = abs(term) * a / (1.0 - a)
-            return EvalResult(s, tail, n)
-    raise ConvergenceError(f"polylog series stalled at z = {z_arg}")
-
-
 def _term_matrix(nu: complex, mu: np.ndarray, k: np.ndarray):
     """exp(k mu - nu log k) over (points, k), with each entry's rounding
     bound relative to its size: eps times the size of the exponent."""
@@ -404,8 +371,10 @@ def _term_matrix(nu: complex, mu: np.ndarray, k: np.ndarray):
     return a, rel
 
 
-def _li_series(nu: complex, mu: np.ndarray):
-    """sum_{k>=1} (-1)**k e**(k mu) k**-nu for mu <= -ln 2, any order."""
+def _li_series(nu: complex, mu: np.ndarray, sign: int):
+    """sum_{k>=1} sign**k e**(k mu) k**-nu for mu <= -ln 2 (sign = -1) or
+    mu <= -1 (sign = +1), any order. The terms past n fall in size by a
+    ratio below 0.6 there, so four times the first of them bounds the tail."""
     top = float(np.max(mu))
     grow = max(-nu.real, 0.0)  # terms grow like k**grow before e**(k mu) wins
     n = 1
@@ -413,9 +382,9 @@ def _li_series(nu: complex, mu: np.ndarray):
         n = math.ceil((_LOG_TINY + grow * math.log(n + 1.0)) / -top)
     k = np.arange(1, n + 1, dtype=float)
     a, rel = _term_matrix(nu, mu, k)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    signs = np.where(k % 2 == 0, 1.0, float(sign))
     tail = 4.0 * np.exp((n + 1.0) * mu + grow * math.log(n + 1.0))
-    return a @ sign, np.sum(np.abs(a) * rel, axis=1) + tail, n
+    return a @ signs, np.sum(np.abs(a) * rel, axis=1) + tail, n
 
 
 def _li_alternating(nu: complex, mu: np.ndarray):
@@ -440,15 +409,39 @@ def _log_total_variation(nu: complex) -> float:
     return math.lgamma(nu.real) - loggamma(nu).real
 
 
+def _tail_constants(nu: complex, rho: float, log_c: float) -> tuple[float, float, float]:
+    """Bound on the terms k >= K = _NEAR_TERMS of sum_k c_k mu**k/k!, for
+    c_k = zeta(nu - k) (rho = 2 pi, log_c = -log pi) or eta(nu - k) (rho = pi,
+    log_c = log(4/pi)). For k >= K > Re nu = sigma the functional equation,
+    with |sin(pi w/2)| <= e**(pi |t|/2), t = Im nu, and zeta(x) <= x/(x - 1),
+    gives |zeta(nu - k)| <= (2 pi)**(sigma-k)/pi e**(pi |t|/2) |Gamma(1-nu+k)|
+    zeta(1-sigma+K); |eta(nu - k)| <= (1 + 2**(1-sigma+k)) |zeta(nu - k)|
+    multiplies that by 4 * 2**(k-sigma). The bound on term k + 1 over that on
+    term k is |1-nu+k|/(k+1) |mu|/rho <= g |mu|/rho, g = max(|1-nu+K|/(K+1), 1),
+    so the terms past K sum to at most e**log_b |mu|**K/(1 - g |mu|/rho).
+    Returns (log_b, g, rho); g is inf where Re nu >= K - 1 leaves no bound.
+    """
+    x = 1.0 - nu.real + _NEAR_TERMS
+    if x <= 2.0:
+        return math.inf, math.inf, rho
+    a = 1.0 - nu + _NEAR_TERMS
+    log_b = (log_c + (nu.real - _NEAR_TERMS) * math.log(rho) + 0.5 * math.pi * abs(nu.imag)
+             + loggamma(a).real + math.log(x / (x - 1.0)) - math.lgamma(_NEAR_TERMS + 1.0))
+    return log_b, max(abs(a) / (_NEAR_TERMS + 1.0), 1.0), rho
+
+
 @functools.lru_cache(maxsize=64)
-def _eta_shifted(nu: complex, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """eta(nu - k) for k < n_terms with absolute error bounds.
+def _eta_shifted(nu: complex):
+    """eta(nu - k) for k < _NEAR_TERMS with absolute error bounds, and the
+    _tail_constants of the terms past them.
 
     Orders with Re > 0 use the accelerated series; the others the
     functional equation eta(w) = (1 - 2**(1-w))/(1 - 2**w) chi(w) eta(1-w),
     chi(w) = 2**w pi**(w-1) sin(pi w/2) Gamma(1-w), with eta(0) = 1/2.
+    Raises DomainError past ETA_T_MAX, as the eta series does.
     """
-    w = nu - np.arange(n_terms)
+    _check_eta_height(nu.imag)
+    w = nu - np.arange(_NEAR_TERMS)
     refl = w.real <= 0.0
     orders = np.where(refl, 1.0 - w, w)
     n = _crvz_terms(1e-17, nu.imag)
@@ -457,41 +450,48 @@ def _eta_shifted(nu: complex, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     wts = _crvz_weights(n)
     eta = a @ wts
     lg_orders = loggamma(orders)
-    tv = np.exp([math.lgamma(x) for x in orders.real] - lg_orders.real)
-    err = _EPS * (np.abs(a) * (3.0 + np.multiply.outer(np.abs(orders), logk))) @ np.abs(wts)
-    err = err + 2.0 * tv * math.exp(-n * _LOG_CRVZ)
     wr = w[refl]
     lg = lg_orders[refl]  # log Gamma(1 - w)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # past |Im nu| ~ 450 the bound and sin(pi w/2) overflow, and polylog refuses
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tv = np.exp([math.lgamma(x) for x in orders.real] - lg_orders.real)
         factor = ((1.0 - np.exp((1.0 - wr) * _LN2)) / (1.0 - np.exp(wr * _LN2))
                   * np.exp(wr * _LN2 + (wr - 1.0) * _LOG_PI + lg) * _sinpi_array(0.5 * wr))
+    err = _EPS * (np.abs(a) * (3.0 + np.multiply.outer(np.abs(orders), logk))) @ np.abs(wts)
+    err = err + 2.0 * tv * math.exp(-n * _LOG_CRVZ)
     rel = 8.0 * _EPS * (2.0 + np.abs(lg) + np.abs(wr) * 3.0)
     err[refl] = np.abs(factor) * (err[refl] + rel * np.abs(eta[refl]))
     eta[refl] = factor * eta[refl]
     origin = w == 0.0
     eta[origin], err[origin] = 0.5, _EPS
     eta.flags.writeable = err.flags.writeable = False
-    return eta, err
+    return eta, err, _tail_constants(nu, math.pi, math.log(4.0 / math.pi))
 
 
-def _series_in_mu(coef: np.ndarray, coef_err: np.ndarray,
+def _series_in_mu(coef: np.ndarray, coef_err: np.ndarray, tail,
                   mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k coef[k] mu**k / k! with its error bound (last term as tail)."""
+    """sum_k coef[k] mu**k / k! with its error bound: the coefficients'
+    errors, the rounding, and the terms past the last by the tail constants
+    (inf where they cannot bound them)."""
     k = np.arange(len(coef), dtype=float)
     p = np.divide.outer(mu, np.maximum(k, 1.0))
     p[:, 0] = 1.0
     p = np.cumprod(p, axis=1)
     val = p @ coef
     terms = np.abs(p) * np.abs(coef)
-    err = np.abs(p) @ coef_err + 4.0 * _EPS * (terms @ (1.0 + k)) + 4.0 * terms[:, -1]
+    log_b, g, rho = tail
+    m = np.abs(mu)
+    q = g * m / rho
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rest = np.where(q < 1.0, np.exp(log_b + len(coef) * np.log(m)) / (1.0 - q), np.inf)
+    err = np.abs(p) @ coef_err + 4.0 * _EPS * (terms @ (1.0 + k)) + rest
     return val, err
 
 
 def _li_about_minus_one(nu: complex, mu: np.ndarray):
     """Li_nu(-e**mu) = -sum_k eta(nu - k) mu**k / k!, for |mu| < pi."""
-    eta, err = _eta_shifted(nu, _NEAR_TERMS)
-    val, e = _series_in_mu(eta, err, mu)
-    return -val, e, _NEAR_TERMS
+    val, err = _series_in_mu(*_eta_shifted(nu), mu)
+    return -val, err, _NEAR_TERMS
 
 
 @functools.lru_cache(maxsize=64)
@@ -626,7 +626,7 @@ def _li_inversion(nu: complex, mu: np.ndarray):
     - e**(i pi nu) Li_nu(-e**-mu), for mu > 0, Re nu > 0 and Im nu >= 0."""
     pref, pref_rel = _inversion_prefactor(nu)
     z, z_err, n_em = _hurwitz_em(1.0 - nu, 0.5 - 1j * mu / (2.0 * math.pi))
-    back, back_err, n_back = _li_series(nu, -mu)
+    back, back_err, n_back = _li_series(nu, -mu, -1)
     rot = cmath.exp(1j * math.pi * nu)
     head = pref * z
     val = head - rot * back
@@ -634,26 +634,96 @@ def _li_inversion(nu: complex, mu: np.ndarray):
     return val, err + 2.0 * _EPS * np.abs(val), n_em + n_back
 
 
-def polylog_neg_exp_array(nu, log_y) -> EvalResult:
-    """Li_nu(-e**log_y) elementwise over an array of real log_y, no quadrature.
+@functools.lru_cache(maxsize=64)
+def _plus_one_setup(nu: complex):
+    """zeta(nu - k) for k < _NEAR_TERMS with error bounds and _tail_constants,
+    log Gamma(1 - nu), and n = nu at a positive integer order (else 0).
+    There the zeta pole at k = n - 1 is left out, and Gamma(1 - nu) too.
 
-    Routes: the power series for log_y <= -ln 2; the accelerated alternating
-    sum up to log_y = 0; the expansion about z = -1 on (0, 1.5]; beyond it
-    the inversion formula with the Hurwitz zeta by Euler-Maclaurin. Orders
-    with Re nu <= 0 are accepted for log_y < 0 (expansion about -1 in place
-    of the alternating sum). value and abs_error_estimate are arrays of the
-    shape of log_y; terms_or_nodes_used is the most terms any route summed.
+    zeta(w) = eta(w)/(1 - 2**(1-w)), with 1 - 2**(1-w) = -expm1((1-w) ln 2) so
+    that the scale keeps its relative accuracy as w -> 1; its rounding,
+    eps (4 + 2 |x e**x/expm1(x)|) relative at x = (1-w) ln 2, is carried.
+    """
+    eta, eta_err, _ = _eta_shifted(nu)
+    x = ((1.0 + np.arange(_NEAR_TERMS)) - nu) * _LN2
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 at the pole
+        em1 = np.expm1(x)
+        scale = -1.0 / em1
+        scale_rel = _EPS * (4.0 + 2.0 * np.abs(x * np.exp(x) / em1))
+        coef = eta * scale
+        coef_err = eta_err * np.abs(scale) + np.abs(coef) * (scale_rel + 2.0 * _EPS)
+    n = int(nu.real) if nu.imag == 0.0 and nu.real == round(nu.real) and nu.real >= 1.0 else 0
+    if n:
+        coef[n - 1:n] = coef_err[n - 1:n] = 0.0
+    coef.flags.writeable = coef_err.flags.writeable = False
+    tail = _tail_constants(nu, 2.0 * math.pi, -_LOG_PI)
+    return coef, coef_err, tail, 0.0 if n else loggamma(1.0 - nu), n
+
+
+def _li_about_plus_one(nu: complex, mu: np.ndarray):
+    """Li_nu(e**mu) = Gamma(1-nu) (-mu)**(nu-1) + sum_k zeta(nu-k) mu**k/k!
+    for -2 pi < mu < 0. At a positive integer order n the pole of
+    Gamma(1-nu) and that of zeta(nu-k) at k = n - 1 cancel, and their sum
+    takes Wood's log limit mu**(n-1)/(n-1)! (H_{n-1} - log(-mu))."""
+    coef, coef_err, tail, lg, n = _plus_one_setup(nu)
+    series, series_err = _series_in_mu(coef, coef_err, tail, mu)
+    log_m = np.log(-mu)
+    if n:
+        p = mu ** (n - 1) / math.factorial(n - 1)
+        harmonic = math.fsum(1.0 / j for j in range(1, n))
+        lead = p * (harmonic - log_m)
+        lead_err = 4.0 * _EPS * (n + 2.0) * np.abs(p) * (harmonic + np.abs(log_m))
+    else:
+        lead = np.exp(lg + (nu - 1.0) * log_m)
+        lead_err = np.abs(lead) * 8.0 * _EPS * (2.0 + abs(lg) + abs(nu - 1.0) * np.abs(log_m))
+    val = lead + series
+    return val, lead_err + series_err + 2.0 * _EPS * np.abs(val), _NEAR_TERMS
+
+
+def polylog(nu, log_abs_z, sign) -> EvalResult:
+    """Li_nu(sign e**mu) elementwise over real mu = log_abs_z, sign = +1 or
+    -1, with a bound on each value's error (the rounding of every term plus
+    the truncation or acceleration remainder) and no quadrature (Wood 1992,
+    "The computation of polylogarithms"; Crandall 2006, "Note on fast
+    polylogarithm computation"). Routes by mu:
+
+    sign = -1, every finite mu (mu < 0 where Re nu <= 0):
+    - mu <= -ln 2: the power series;
+    - -ln 2 < mu <= 0: the accelerated alternating sum, or for Re nu <= 0
+      the expansion about z = -1;
+    - 0 < mu <= 1.5: the expansion about z = -1, -sum_k eta(nu - k) mu**k/k!,
+      up to an edge that falls like 1/|Im nu| from |Im nu| = 22 on;
+    - beyond: the inversion formula with the Hurwitz zeta by Euler-Maclaurin.
+    sign = +1, mu < 0, every order:
+    - mu <= -1: the power series;
+    - -1 < mu < 0: the expansion about z = 1,
+      Gamma(1 - nu) (-mu)**(nu - 1) + sum_k zeta(nu - k) mu**k/k!, and at a
+      positive integer order n Wood's log limit of it.
+
+    A scalar log_abs_z gives a complex value and a float bound, an array
+    arrays of its shape; terms_or_nodes_used is the most terms any route
+    summed. Raises DomainError for a sign other than +-1, a non-finite mu,
+    mu >= 0 with sign = +1 or with Re nu <= 0, |Im nu| past ETA_T_MAX on an
+    expansion, and where a value or its bound is not finite, as where the
+    tail of an expansion admits no bound at large |Im nu|.
     """
     w = _order(nu)
-    mu = np.asarray(log_y, dtype=float)
+    mu = np.asarray(log_abs_z, dtype=float)
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     if not np.all(np.isfinite(mu)):
-        raise DomainError("log_y must be finite")
-    if w.imag < 0.0:  # conjugation symmetry for real arguments
-        r = polylog_neg_exp_array(w.conjugate(), mu)
-        return EvalResult(np.conj(r.value), r.abs_error_estimate,
-                          r.terms_or_nodes_used)
-    if w.real <= 0.0 and np.any(mu >= 0.0):
+        raise DomainError("log_abs_z must be finite")
+    if sign > 0 and np.any(mu >= 0.0):
+        raise DomainError("Li_nu(z) for real z >= 1 lies on the branch cut")
+    if sign < 0 and w.real <= 0.0 and np.any(mu >= 0.0):
         raise DomainError("Li_nu(-y) for y >= 1 requires Re nu > 0")
+    if w.imag < 0.0:  # conjugation symmetry for real arguments
+        r = polylog(w.conjugate(), mu, sign)
+        return EvalResult(r.value.conjugate(), r.abs_error_estimate, r.terms_or_nodes_used)
+    series = functools.partial(_li_series, sign=sign)
+    # expand about -1 while the terms past _NEAR_TERMS fall at least twofold
+    # (g mu/pi <= 1/2, see _tail_constants): up to 1.5 for |Im nu| < 22
+    edge = min(_NEAR_MU, 0.5 * math.pi * (_NEAR_TERMS + 1.0) / abs(1.0 - w + _NEAR_TERMS))
     flat = mu.ravel()
     val = np.empty(flat.shape, dtype=complex)
     err = np.empty(flat.shape)
@@ -661,82 +731,56 @@ def polylog_neg_exp_array(nu, log_y) -> EvalResult:
     # blocks of _BLOCK points keep the term matrices small (and in cache)
     for start in range(0, flat.size, _BLOCK):
         m = flat[start:start + _BLOCK]
-        mid = (m > -_LN2) & (m <= 0.0)
-        near = (m > 0.0) & (m <= _NEAR_MU)
-        if w.real <= 0.0:
-            # no accelerated sum for these orders: expand about -1 on (-ln 2, 0)
-            mid, near = near, mid
-        for mask, route in ((m <= -_LN2, _li_series), (mid, _li_alternating),
-                            (near, _li_about_minus_one), (m > _NEAR_MU, _li_inversion)):
+        if sign > 0:
+            routes = ((m <= -1.0, series), (m > -1.0, _li_about_plus_one))
+        else:
+            mid = (m > -_LN2) & (m <= 0.0)
+            near = (m > 0.0) & (m <= edge)
+            if w.real <= 0.0:
+                # no accelerated sum for these orders: expand about -1 on (-ln 2, 0)
+                mid, near = near, mid
+            routes = ((m <= -_LN2, series), (mid, _li_alternating),
+                      (near, _li_about_minus_one), (m > edge, _li_inversion))
+        for mask, route in routes:
             if np.any(mask):
                 i = start + np.flatnonzero(mask)
                 val[i], err[i], n = route(w, m[mask])
                 terms = max(terms, n)
+    if not (np.all(np.isfinite(val)) and np.all(np.isfinite(err))):
+        raise DomainError(f"no finite error bound for Li_nu(z), z = {sign:+g} e**mu, at nu = {w}")
+    if mu.ndim == 0:
+        return EvalResult(complex(val[0]), float(err[0]), terms)
     return EvalResult(val.reshape(mu.shape), err.reshape(mu.shape), terms)
 
 
-@functools.lru_cache(maxsize=64)
-def _plus_one_setup(nu: complex):
-    """zeta(nu - k) for k < _NEAR_TERMS with error bounds, and log Gamma(1 - nu).
-
-    zeta(w) = eta(w)/(1 - 2**(1-w)), with 1 - 2**(1-w) = -expm1((1-w) ln 2) so
-    that the scale keeps its relative accuracy as w -> 1; its rounding,
-    eps (4 + 2 |x e**x/expm1(x)|) relative at x = (1-w) ln 2, is carried.
-    """
-    eta, eta_err = _eta_shifted(nu, _NEAR_TERMS)
-    x = ((1.0 + np.arange(_NEAR_TERMS)) - nu) * _LN2
-    em1 = np.expm1(x)
-    scale = -1.0 / em1
-    scale_rel = _EPS * (4.0 + 2.0 * np.abs(x * np.exp(x) / em1))
-    coef = eta * scale
-    coef_err = eta_err * np.abs(scale) + np.abs(coef) * (scale_rel + 2.0 * _EPS)
-    coef.flags.writeable = coef_err.flags.writeable = False
-    return coef, coef_err, loggamma(1.0 - nu)
-
-
-def _li_about_plus_one(nu: complex, mu: float) -> EvalResult:
-    """Li_nu(e**mu) = Gamma(1-nu) (-mu)**(nu-1) + sum_k zeta(nu-k) mu**k/k!
-    for -2 pi < mu < 0 and nu not a positive integer (no zeta pole among the
-    orders nu - k)."""
-    coef, coef_err, lg = _plus_one_setup(nu)
-    series, series_err = _series_in_mu(coef, coef_err, np.array([mu]))
-    lead = cmath.exp(lg + (nu - 1.0) * math.log(-mu))
-    lead_err = abs(lead) * 8.0 * _EPS * (2.0 + abs(lg) + abs(nu - 1.0) * abs(math.log(-mu)))
-    val = lead + complex(series[0])
-    return EvalResult(val, lead_err + float(series_err[0]) + 2.0 * _EPS * abs(val),
-                      _NEAR_TERMS)
-
-
-def polylog_series_eval(nu, z: float, tol: float = 1e-14) -> EvalResult:
+def polylog_series_eval(nu, z: float) -> EvalResult:
+    """Li_nu(z) for real z in [-1, 1) with its error bound, by polylog."""
     z_arg = float(z)
-    w = _order(nu)
-    if z_arg >= 1.0 or z_arg < -1.0:
-        raise DomainError(
-            f"polylog series argument must lie in [-1, 1), got {z_arg}"
-            " (use fermi_dirac_polylog for arguments below -1)"
-        )
-    if z_arg == -1.0 and w.real <= 0.0:
-        raise DomainError("z = -1 requires Re nu > 0")
+    if not -1.0 <= z_arg < 1.0:
+        raise DomainError(f"polylog series argument must lie in [-1, 1), got {z_arg}")
     if z_arg == 0.0:
         return EvalResult(0.0 + 0.0j, 0.0, 0)
-    if w == 1.0:
-        return EvalResult(complex(-math.log1p(-z_arg)), 1e-16, 1)
-    if z_arg < 0.0:
-        return polylog_neg_exp_eval(w, math.log(-z_arg))
-    # series convergence degrades as z -> 1, and for Re nu <= 0 the terms
-    # z**n n**-nu grow before they fall: expand about z = 1 there
-    near_one = 1.0 - z_arg < 1e-3 and w.real > 0.0
-    if near_one and w.imag == 0.0 and w.real == round(w.real):
-        # the expansion meets the zeta pole at integer orders
-        return bose_polylog_integral_eval(w, z_arg)
-    if near_one or (z_arg > 0.5 and w.real <= 0.0):
-        return _li_about_plus_one(w, math.log(z_arg))
-    return _polylog_series_direct(z_arg, w, tol)
+    return polylog(nu, math.log(abs(z_arg)), 1 if z_arg > 0.0 else -1)
 
 
 def polylog_series(nu, z: float) -> complex:
     """Li_nu(z) = sum_n z**n / n**nu for real z in [-1, 1)."""
     return polylog_series_eval(nu, z).value
+
+
+def polylog_neg_exp_eval(nu, log_y: float) -> EvalResult:
+    """Li_nu(-e**log_y) with its error bound, by polylog."""
+    return polylog(nu, float(log_y), -1)
+
+
+def polylog_neg_exp(nu, log_y: float) -> complex:
+    """Value-only variant of polylog_neg_exp_eval."""
+    return polylog_neg_exp_eval(nu, log_y).value
+
+
+def polylog_auto(nu, z: float) -> complex:
+    """Li_nu(z) for real z < 1, by polylog."""
+    return polylog_series(nu, z) if z >= -1.0 else polylog_neg_exp(nu, math.log(-z))
 
 
 def _quad_complex(f, a, b, *, t: float = 0.0, points=None, limit=300):
@@ -762,17 +806,31 @@ def _quad_complex(f, a, b, *, t: float = 0.0, points=None, limit=300):
         return complex(vc, vs), ec + es, 2 * limit
 
 
-def _fermi_integral_exp(nu: complex, w: float) -> EvalResult:
-    """I = integral_0^inf x**(nu-1) / (exp(x - w) + 1) dx via x = exp(s).
+def fermi_dirac_polylog_eval(nu, y: float, tol: float = 1e-9) -> EvalResult:
+    """Li_nu(-y) = -(1/Gamma(nu)) integral_0^inf x**(nu-1)/(e**(x - w) + 1) dx,
+    w = log y, by quadrature over s = log x, where the integrand
+    e**(sigma s) expit(w - e**s) never overflows. The estimate is the
+    integrator's (very conservative for the oscillatory weights) over
+    |Gamma(nu)|, which is the honest amplification off the real axis.
 
-    Written in terms of w = log(y) so that huge arguments y = e**w never
-    overflow: the integrand is exp(sigma*s) * expit(w - exp(s)).
-    """
-    sig, t = nu.real, nu.imag
-    if t < 0.0:  # conjugation symmetry for real arguments
-        r = _fermi_integral_exp(nu.conjugate(), w)
-        return EvalResult(r.value.conjugate(), r.abs_error_estimate,
-                          r.terms_or_nodes_used)
+    Where |Gamma(nu)| underflows the range of normal doubles (|Im nu| past
+    about 450 near the critical line) the route cannot divide it out and
+    raises DomainError."""
+    z = _order(nu)
+    if z.real <= 0.0:
+        raise DomainError("Fermi-Dirac integral requires Re nu > 0")
+    if y <= 0.0:
+        raise DomainError("argument y must be positive")
+    if z.imag < 0.0:  # conjugation symmetry for real arguments
+        r = fermi_dirac_polylog_eval(z.conjugate(), y, tol)
+        return EvalResult(r.value.conjugate(), r.abs_error_estimate, r.terms_or_nodes_used)
+    lg = loggamma(z)
+    if lg.real < _LOG_MIN_NORMAL:
+        raise DomainError(
+            f"|Gamma(nu)| = e**{lg.real:.1f} underflows at nu = {z}: the"
+            " Fermi-Dirac quadrature cannot resolve Li_nu there"
+        )
+    sig, w = z.real, math.log(y)
     big = math.log(1e18)
     s_max = math.log(max(w, 0.0) + big)
     for _ in range(4):
@@ -785,47 +843,15 @@ def _fermi_integral_exp(nu: complex, w: float) -> EvalResult:
             return math.exp(sig * s) / (1.0 + math.exp(-x))
         return math.exp(sig * s + x) / (1.0 + math.exp(x))
 
-    points = None
-    if t == 0.0 and w > 1.0:
-        points = [math.log(w)]
-    val, err, nodes = _quad_complex(h, s_min, s_max, t=t, points=points)
-    return EvalResult(val, err, nodes)
-
-
-def fermi_dirac_polylog_eval(nu, y: float, tol: float = 1e-9) -> EvalResult:
-    w = _order(nu)
-    if w.real <= 0.0:
-        raise DomainError("Fermi-Dirac integral requires Re nu > 0")
-    if y <= 0.0:
-        raise DomainError("argument y must be positive")
-    r = _fd_from_log(w, math.log(y))
-    if r.abs_error_estimate > max(tol * (1.0 + abs(r.value)), 1e2 * tol):
-        raise ConvergenceError(
-            f"Fermi-Dirac quadrature error {r.abs_error_estimate:.2e} exceeds "
-            f"tolerance {tol:.2e}"
-        )
-    return r
-
-
-def _fd_from_log(w: complex, log_y: float) -> EvalResult:
-    """Li_nu(-e**log_y) by quadrature; the estimate is as reported by the
-    integrator (very conservative for the oscillatory weights), divided by
-    |Gamma(nu)|, which is the honest amplification off the real axis.
-
-    Where |Gamma(nu)| underflows the range of normal doubles (|Im nu| past
-    about 450 near the critical line) the route cannot divide it out and
-    raises DomainError."""
-    lg = loggamma(w)
-    if lg.real < _LOG_MIN_NORMAL:
-        raise DomainError(
-            f"|Gamma(nu)| = e**{lg.real:.1f} underflows at nu = {w}: the"
-            " Fermi-Dirac quadrature cannot resolve Li_nu there"
-        )
-    r = _fermi_integral_exp(w, log_y)
+    points = [math.log(w)] if z.imag == 0.0 and w > 1.0 else None
+    val, err, nodes = _quad_complex(h, s_min, s_max, t=z.imag, points=points)
     g = cmath.exp(lg)
-    val = -r.value / g
-    err = r.abs_error_estimate / abs(g)
-    return EvalResult(val, err, r.terms_or_nodes_used)
+    val, err = -val / g, err / abs(g)
+    if err > max(tol * (1.0 + abs(val)), 1e2 * tol):
+        raise ConvergenceError(
+            f"Fermi-Dirac quadrature error {err:.2e} exceeds tolerance {tol:.2e}"
+        )
+    return EvalResult(val, err, nodes)
 
 
 def fermi_dirac_polylog(nu, y: float) -> complex:
@@ -834,25 +860,9 @@ def fermi_dirac_polylog(nu, y: float) -> complex:
     Analytic continuation of the power series past y = 1:
     Li_nu(-y) = -(1/Gamma(nu)) * integral_0^inf y x**(nu-1)/(e**x + y) dx,
     valid for Re nu > 0 on the whole positive y axis. By quadrature, so it
-    serves as an oracle independent of polylog_neg_exp_array.
+    serves as an oracle independent of polylog.
     """
     return fermi_dirac_polylog_eval(nu, y).value
-
-
-def polylog_neg_exp_eval(nu, log_y: float, tol: float = 1e-12) -> EvalResult:
-    """Li_nu(-e**log_y) with its error estimate, by polylog_neg_exp_array.
-
-    Saddle solvers call this with log_y = -delta so that deeply negative
-    delta never overflows. The routes always work to double precision; tol
-    is kept for callers of the earlier series/quadrature version.
-    """
-    r = polylog_neg_exp_array(nu, float(log_y))
-    return EvalResult(complex(r.value), float(r.abs_error_estimate), r.terms_or_nodes_used)
-
-
-def polylog_neg_exp(nu, log_y: float, tol: float = 1e-12) -> complex:
-    """Value-only variant of polylog_neg_exp_eval."""
-    return polylog_neg_exp_eval(nu, log_y, tol).value
 
 
 def bose_polylog_integral_eval(nu, z: float, tol: float = 1e-9) -> EvalResult:
@@ -890,17 +900,6 @@ def bose_polylog_integral_eval(nu, z: float, tol: float = 1e-9) -> EvalResult:
 def bose_polylog_integral(nu, z: float) -> complex:
     """Li_nu(z) for 0 < z < 1 via Gamma(nu) Li_nu(z) = int_0^inf z x**(nu-1)/(e**x - z) dx."""
     return bose_polylog_integral_eval(nu, z).value
-
-
-def polylog_auto(nu, z: float, tol: float = 1e-12) -> complex:
-    """Li_nu(z) for real z < 1, picking the right representation.
-
-    z in [-1, 1) goes through polylog_series, z < -1 through
-    polylog_neg_exp.
-    """
-    if z < -1.0:
-        return polylog_neg_exp(nu, math.log(-z), tol)
-    return polylog_series_eval(nu, z, tol).value
 
 
 def _li2_real(x: float) -> float:

@@ -71,11 +71,6 @@ class BecReport:
     F_c: float
 
 
-def _li(order: float, u: float) -> float:
-    """Li_order(u) for real u < 1 (u may be far below -1)."""
-    return specfun.polylog_auto(order, u).real
-
-
 def observables_constant(sol: SaddleSolution, state: ThermoState,
                          species: SpeciesSpec) -> ObservableReport:
     """Density and free energy of one species with a constant kernel.
@@ -86,20 +81,13 @@ def observables_constant(sol: SaddleSolution, state: ThermoState,
              F = +T T_tilde**(d/2) [Li_{(d+2)/2}(-u) + (delta/2) Li_{d/2}(-u)]
     """
     d = state.d
-    u = species.z_mu * sol.z_delta
+    s = species.statistics
+    log_u = math.log(species.z_mu) - sol.delta  # polylog refuses u >= 1 for bosons
     pref = state.T_tilde ** (d / 2.0)
-    if species.statistics == BOSON:
-        if u >= 1.0:
-            raise DomainError(f"bosonic polylog argument {u:.6g} >= 1")
-        li_n = _li(d / 2.0, u)
-        li_f = _li((d + 2.0) / 2.0, u)
-        n = pref * li_n
-        free = -state.T * pref * (li_f + 0.5 * sol.delta * li_n)
-    else:
-        li_n = _li(d / 2.0, -u)
-        li_f = _li((d + 2.0) / 2.0, -u)
-        n = -pref * li_n
-        free = state.T * pref * (li_f + 0.5 * sol.delta * li_n)
+    li_n, li_f = (specfun.polylog(order, log_u, s).value.real
+                  for order in (d / 2.0, (d + 2.0) / 2.0))
+    n = s * pref * li_n
+    free = -s * state.T * pref * (li_f + 0.5 * sol.delta * li_n)
     charge = None
     if d == 2 and species.z_mu == 1.0:
         charge = central_charge([sol], [species])
@@ -168,7 +156,7 @@ def fermi_energy(d: float, n: float, T: float, mass: float = 0.5) -> float:
     target = n / state.T_tilde ** (d / 2.0)
 
     def gap(w):
-        return -specfun.polylog_neg_exp(d / 2.0, w).real - target
+        return -specfun.polylog(d / 2.0, w, -1).value.real - target
 
     w_classical = math.log(target)
     w_degenerate = (target * specfun.gamma(d / 2.0 + 1.0).real) ** (2.0 / d)

@@ -88,3 +88,19 @@ CRITICAL_LINE_ZEROS = (
     21.02203963877155499263,
     25.01085758014568876321,
 )
+# Li_nu(-e**mu) at nu = 0.7 + i t, by mpmath.polylog at 0.3 t + 70 digits, which
+# agrees with 0.3 t + 40 digits to 1e-25 (at 40 digits mpmath itself has no
+# correct digit left from t ~ 250 on); keyed by (mu, t)
+LI_NEG_EXP_07 = {
+    (0.05, 100): (2.873472153059419-1.090367893511833j),
+    (0.05, 150): (-1.0714264772376145-5.538910962064291j),
+    (0.05, 200): (-0.5800563528756456-17.380683262085583j),
+    (0.05, 250): (2.5138881919526193-31.22089819966876j),
+    (0.05, 300): (20.630385635661888+61.58257626393999j),
+    (0.5, 100): (2362174.0037844996+4457458.335917423j),
+    (0.5, 150): (12402396674.866436+988107324.3909172j),
+    (0.5, 200): (18651579707191.816+25280246849962.04j),
+    (0.5, 250): (-1.223006456331595e+16+7.942226194699763e+16j),
+    (0.5, 300): (6.089096493176751e+19-1.980837430379269e+20j),
+    (0.5, 600): (-8.989456368147561e+39+6.542640141735013e+40j),
+}

@@ -199,6 +199,7 @@ from gastba import cli
 
 argvs = [["solve", "--d", d, "--statistics", s, "--z-mu", "0.6", "--h-t", "0.4"]
          for d in ("1", "2", "3") for s in ("boson", "fermion")]
+argvs += [["solve", "--d", "4", "--statistics", "boson", "--z-mu", "0.6", "--h-t", "0.4"]]
 argvs += [["charge", "--statistics", "boson", "--h", "1.5"],
           ["charge", "--species", sys.argv[1]],
           ["bec", "--d", "3", "--h-t", "0.5"],

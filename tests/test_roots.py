@@ -28,7 +28,7 @@ class TestBrentMatchesBrentq:
                    complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))) for _ in range(4)]
         for nu, h, log_zmu, pref in cases:
             def f(delta):
-                li = specfun.polylog_neg_exp_array(nu, np.array([log_zmu - delta]))
+                li = specfun.polylog(nu, np.array([log_zmu - delta]), -1)
                 return float(delta + h * (pref * li.value[0]).real)
 
             xs = np.linspace(-10.0, 10.0, 200)

@@ -312,8 +312,9 @@ class TestNoQuadratureOnHotPath:
         for nu, points in ((1.4, 2000), (1.1 + 3.0j, 600)):
             sol = saddle.solve_delta_quasi(nu, 0.1, SolverConfig(bracket_points=points))
             assert math.isfinite(sol.delta)
-        # the bosonic scan starts at z = e**-1e-6, within 1e-3 of the branch point
-        for d in (1, 3):
+        # the bosonic scan starts at z = e**-1e-6, within 1e-3 of the branch
+        # point, where d = 2 and 4 meet the integer orders 1, 2 and 3
+        for d in (1, 2, 3, 4):
             for z_mu in (0.5, 0.999, 1.0):
                 sp = SpeciesSpec(statistics=BOSON, z_mu=z_mu)
                 c = CouplingSpec(mode="h_T", value=0.3, d=d)

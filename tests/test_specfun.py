@@ -241,8 +241,8 @@ class TestPolylogSeries:
 
 
 class TestExpansionAboutPlusOne:
-    """Non-integer orders with Re nu > 0 within 1e-3 of z = 1 take the
-    expansion about z = 1 rather than the Bose integral."""
+    """Li_nu(z) for e**-1 < z < 1 takes the expansion about z = 1, and at
+    positive integer orders its log limit, never the Bose integral."""
 
     @staticmethod
     def _orders():
@@ -272,15 +272,23 @@ class TestExpansionAboutPlusOne:
         assert abs(r.value - ref) <= 1e-11 * abs(ref)
         assert abs(r.value - ref) <= r.abs_error_estimate
 
-    def test_no_quadrature_off_integer_orders(self, monkeypatch):
+    def test_no_quadrature_at_any_order(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("scipy.integrate.quad called")
 
         monkeypatch.setattr(scipy.integrate, "quad", forbidden)
-        for nu in (0.5, 1.5, 2.5, 0.7 + 3j):
+        for nu in (0.5, 1.5, 2.5, 0.7 + 3j, 1.0, 2.0, 3.0):
             specfun.polylog_series(nu, 1.0 - 1e-6)
-        with pytest.raises(AssertionError):  # integer orders keep the Bose integral
-            specfun.polylog_series(2.0, 1.0 - 1e-6)
+
+    @pytest.mark.parametrize("nu", [2.0 + 1e-12, 1.0 + 1e-10, 3.0 - 1e-9])
+    def test_near_integer_orders_report_their_loss(self, nu):
+        # Gamma(1 - nu) (-mu)**(nu - 1) and the zeta(nu - k) term near its pole
+        # cancel as 1/|nu - n|: digits are lost, and the bound says so
+        z = 1.0 - 1e-4
+        r = specfun.polylog(nu, math.log(z), 1)
+        with mp.workdps(50):
+            ref = complex(mp.polylog(mp.mpf(nu), mp.exp(mp.mpf(math.log(z)))))
+        assert abs(r.value - ref) <= r.abs_error_estimate
 
 
 class TestFermiDiracPolylog:
@@ -324,7 +332,8 @@ def _mp_li_neg_exp(nu, mu) -> complex:
 
 
 class TestPolylogNegExp:
-    """Li_nu(-e**mu) from the quadrature-free routes of polylog_neg_exp_array."""
+    """Li_nu(-e**mu), and in the calibration Li_nu(e**mu), from the
+    quadrature-free routes of polylog."""
 
     def test_error_estimate_bounds_true_error(self):
         # standing calibration against mpmath; one sample in twenty lies in
@@ -344,6 +353,25 @@ class TestPolylogNegExp:
             assert err <= r.abs_error_estimate, (nu, mu, err, r.abs_error_estimate)
             # and the bound is tight enough to certify near double precision
             assert r.abs_error_estimate <= 1e-11 * abs(ref), (nu, mu, r.abs_error_estimate)
+        # the positive side, Li_nu(e**mu) for mu < 0: integer orders, Re nu <= 0,
+        # and one sample in four within 1e-3 of z = 1, down to 1e-9
+        for i in range(160):
+            if i % 4 == 0:
+                nu = complex(rng.integers(1, 5))
+            elif i % 4 == 1:
+                nu = complex(rng.uniform(-3.0, 0.0), rng.uniform(-10.0, 10.0))
+            else:
+                nu = complex(rng.uniform(0.1, 3.0), rng.uniform(-10.0, 10.0))
+            if i % 8 < 2:
+                mu = -math.exp(rng.uniform(math.log(1e-9), math.log(1e-3)))
+            else:
+                mu = rng.uniform(-40.0, 0.0)
+            r = specfun.polylog(nu, mu, 1)
+            with mp.workdps(30):
+                ref = complex(mp.polylog(mp.mpc(nu.real, nu.imag), mp.exp(mp.mpf(mu))))
+            err = abs(r.value - ref)
+            assert err <= r.abs_error_estimate, (nu, mu, err, r.abs_error_estimate)
+            assert r.abs_error_estimate <= 1e-11 * abs(ref), (nu, mu, r.abs_error_estimate)
 
     def test_high_orders_near_minus_one(self):
         # the expansion about z = -1 avoids the cancellation that the direct
@@ -361,7 +389,7 @@ class TestPolylogNegExp:
     def test_array_matches_scalar(self):
         mu = np.array([[-50.0, -1.0, -0.3], [0.0, 0.7, 60.0]])
         for nu in (0.5, 1.3 - 2.0j):
-            r = specfun.polylog_neg_exp_array(nu, mu)
+            r = specfun.polylog(nu, mu, -1)
             assert r.value.shape == mu.shape == r.abs_error_estimate.shape
             for v, e, x in zip(r.value.ravel(), r.abs_error_estimate.ravel(), mu.ravel()):
                 one = specfun.polylog_neg_exp_eval(nu, x)
@@ -377,7 +405,30 @@ class TestPolylogNegExp:
         with pytest.raises(DomainError):
             specfun.polylog_neg_exp(-0.5, 0.5)
         with pytest.raises(DomainError):
-            specfun.polylog_neg_exp_array(1.5, np.array([0.0, math.nan]))
+            specfun.polylog(1.5, np.array([0.0, math.nan]), -1)
+        for mu in (0.0, 1e-12, 2.0):  # z >= 1: the branch cut
+            with pytest.raises(DomainError):
+                specfun.polylog(1.5, mu, 1)
+        with pytest.raises(DomainError):
+            specfun.polylog(1.5, -1.0, 0)
+
+    @pytest.mark.parametrize("t", [100.0, 150.0, 200.0, 250.0, 300.0, 600.0])
+    @pytest.mark.parametrize("mu", [0.05, 0.5])
+    def test_large_imaginary_order_bounded_or_refused(self, mu, t):
+        # nu = 0.7 + i t: the expansion about z = -1, whose coefficients grow
+        # like (t/pi)**k, serves mu up to an edge that falls like 1/t, the
+        # inversion formula beyond it. Each value lies within its bound of
+        # the reference; the expansion refuses past ETA_T_MAX
+        nu = complex(0.7, t)
+        ref = oracles.LI_NEG_EXP_07.get((mu, t))
+        if ref is None:
+            with pytest.raises(DomainError):
+                specfun.polylog(nu, mu, -1)
+            return
+        r = specfun.polylog(nu, mu, -1)
+        assert abs(r.value - ref) <= r.abs_error_estimate
+        if t == 100.0:
+            assert abs(r.value - ref) <= 1e-12 * abs(ref)
 
 
 class TestBosePolylogIntegral:
@@ -392,7 +443,7 @@ class TestBosePolylogIntegral:
 
     def test_near_one_matches_series(self):
         a = specfun.bose_polylog_integral(1.5, 0.99)
-        b = specfun._polylog_series_direct(0.99, 1.5 + 0j, 1e-16).value
+        b = specfun.polylog(1.5, math.log(0.99), 1).value
         assert abs(a - b) < 1e-9
 
     def test_domain(self):
@@ -503,6 +554,14 @@ class TestEvalResults:
         # |Gamma(1/2 + 600.5 i)| ~ e**-942 is below the normal doubles
         with pytest.raises(DomainError):
             specfun.fermi_dirac_polylog_eval(0.5 + 600.5j, 1.0, tol=math.inf)
+
+    @pytest.mark.parametrize("log_y", [705.0, 709.0])
+    def test_fermi_quadrature_near_the_largest_double(self, log_y):
+        # the oracle takes y itself, so log y stops at log(DBL_MAX) ~ 709.8
+        for nu in (0.9, 1.5, 0.5 + 2j):
+            q = specfun.fermi_dirac_polylog_eval(nu, math.exp(log_y))
+            r = specfun.polylog(nu, log_y, -1)
+            assert abs(q.value - r.value) <= q.abs_error_estimate + r.abs_error_estimate
 
     def test_fermi_eval_reports_nodes(self):
         r = specfun.fermi_dirac_polylog_eval(1.5, 2.0)
