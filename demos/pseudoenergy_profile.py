@@ -17,7 +17,7 @@ print(f"{'T':>8} {'delta (shift eq)':>18} {'profile plateau':>18} {'gap':>8}")
 for T in (0.05, 0.01, 0.005):
     dq = solve_delta_quasi(nu, T, SolverConfig(delta_bracket=(-3, 3),
                                                bracket_points=300)).delta
-    cfg = SolverConfig(grid_points=1024, k_max_sigmas=3.0, max_iter=2000, damping=0.7)
+    cfg = SolverConfig(grid_points=1024, k_max_sigmas=3.0)
     prof = solve_profile_quasiperiodic(nu, T, cfg=cfg)
     dp = (prof.epsilon[0] - prof.omega[0]) / T
     print(f"{T:8.3f} {dq:18.6f} {dp:18.6f} {abs(dp-dq)/abs(dq):8.1%}")
@@ -36,8 +36,7 @@ if "--deep" in sys.argv:
 
     tol = 1e-8
     sigmas = 20.0 * math.sqrt(T * abs(dq)) / math.sqrt(T * math.log(1 / tol))
-    cfg = SolverConfig(tol=tol, grid_points=3072, k_max_sigmas=sigmas,
-                       max_iter=4000, damping=0.8)
+    cfg = SolverConfig(tol=tol, grid_points=3072, k_max_sigmas=sigmas)
     prof = solve_profile_quasiperiodic(nu, T, cfg=cfg)
     dp = (prof.epsilon[0] - prof.omega[0]) / T
     occupied = prof.nodes[prof.epsilon < 0]

@@ -250,8 +250,6 @@ def _cmd_profile(args) -> dict:
         tol=args.tol,
         grid_points=args.grid_points,
         k_max_sigmas=args.k_max_sigmas,
-        max_iter=args.max_iter,
-        damping=args.damping,
     )
     prof = saddle.solve_profile_quasiperiodic(nu, args.T, cfg=cfg)
     f = prof.occupancy()
@@ -390,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=512, dest="grid_points")
     p.add_argument("--k-max-sigmas", type=float, default=2.0, dest="k_max_sigmas")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=400, dest="max_iter")
-    p.add_argument("--damping", type=float, default=0.5)
     common(p)
 
     p = sub.add_parser("zeros", help="scan a fixed-sigma line for zeta zeros")

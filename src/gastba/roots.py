@@ -1,20 +1,23 @@
-"""The package's one bracketed root finder: Brent's method.
+"""The package's one root finder, brent, and its one fixed-point iterator, anderson.
 
 Brent 1973, "Algorithms for Minimization without Derivatives", ch. 4:
 inverse quadratic interpolation or the secant step where it falls well
 inside the bracket, bisection otherwise. The steps follow the C code behind
 scipy.optimize.brentq step for step, so the same f, bracket and tolerances
-give the same root.
+give the same root. Anderson mixing: Walker & Ni 2011, SIAM J. Numer. Anal. 49.
 """
 from __future__ import annotations
 
 import math
 import sys
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, EmptyBracketError
 
 RTOL_MIN = 4.0 * sys.float_info.epsilon  # rtol below 4 eps cannot be met
 _MAX_ITER = 100
+_DEPTH = 5  # Anderson history: the last five iterates, so four differences
 
 
 def brent(f, a: float, b: float, xtol: float, rtol: float = RTOL_MIN) -> float:
@@ -68,3 +71,31 @@ def brent(f, a: float, b: float, xtol: float, rtol: float = RTOL_MIN) -> float:
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
         fcur = float(f(xcur))
     raise ConvergenceError(f"Brent's method did not converge in {_MAX_ITER} steps")
+
+
+def anderson(g, x0, tol: float, max_iter: int, beta: float):
+    """Anderson mixing (type II) for x = g(x) on real arrays, with weight beta.
+
+    From x, with f = g(x) - x, the step is x + beta f - (dX + beta dF) c: dX and dF
+    hold the last differences of iterates and residuals, c minimizes |f - dF c|, and
+    the history is cleared whenever the sup residual fails to beat its best so far.
+    Returns (x, sup residual, calls of g) at the first x with sup residual below tol;
+    raises ConvergenceError after max_iter calls.
+    """
+    x = np.asarray(x0, dtype=float)
+    dx, df, best = [], [], math.inf
+    for it in range(1, max_iter + 1):
+        f = g(x) - x
+        res = float(np.max(np.abs(f)))
+        if res < tol:
+            return x, res, it
+        if res >= best:
+            dx, df = [], []
+        elif it > 1:
+            dx, df = (dx + [x - x_old])[1 - _DEPTH:], (df + [f - f_old])[1 - _DEPTH:]
+        best, x_old, f_old = min(best, res), x, f
+        x = x + beta * f
+        if dx:
+            c = np.linalg.lstsq(np.column_stack(df), f, rcond=None)[0]
+            x = x - (np.column_stack(dx) + beta * np.column_stack(df)) @ c
+    raise ConvergenceError(f"fixed-point residual {res:.2e} after {max_iter} steps")

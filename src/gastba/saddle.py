@@ -30,7 +30,7 @@ from .errors import (
     TruncationWarning,
 )
 from .riemann import QuasiKernelSpec
-from .roots import brent
+from .roots import anderson, brent
 
 BOSON = +1
 FERMION = -1
@@ -109,7 +109,7 @@ def coupling_h_T(coupling: CouplingSpec, T: float, mass: float) -> float:
 
 @dataclass
 class SolverConfig:
-    """Tolerances, iteration caps, damping, and grid/bracket parameters."""
+    """Tolerances, iteration caps, damping (the weight of roots.anderson), grids, brackets."""
 
     tol: float | None = None  # default 1e-12 (2d), 1e-14 (multispecies), 1e-10 (shifts, profile)
     max_iter: int = 400
@@ -326,8 +326,8 @@ def solve_2d_multispecies(species: list[SpeciesSpec], h_ab: np.ndarray,
                           cfg: SolverConfig | None = None) -> list[SaddleSolution]:
     """Mixed-statistics 2d system: z_a = prod_b (1 - s_b z_mu_b z_b)**(h_ab s_b).
 
-    Damped fixed-point iteration in log z; bosonic arguments must stay in
-    (0, 1) throughout, otherwise a DomainError is raised.
+    roots.anderson iterates log z; residual is the sup of |log z - log rhs|. Bosonic
+    arguments must stay in (0, 1) throughout, otherwise a DomainError is raised.
     """
     cfg = cfg or SolverConfig()
     tol = cfg.resolved_tol(1e-14)
@@ -338,33 +338,23 @@ def solve_2d_multispecies(species: list[SpeciesSpec], h_ab: np.ndarray,
     if not np.allclose(mat, mat.T, atol=1e-12, rtol=0.0):
         raise DomainError("coupling matrix must be symmetric to 1e-12")
 
+    if not mat.any():
+        return [SaddleSolution(0.0, 1.0, 0.0, 0, branch_note=sp.name) for sp in species]
     s = np.array([sp.statistics for sp in species], dtype=float)
     z_mu = np.array([sp.z_mu for sp in species], dtype=float)
-    z = np.where(s > 0, 0.5, 1.0)
-    eta = cfg.damping
 
-    def log_rhs(zv):
-        args = 1.0 - s * z_mu * zv
+    def log_rhs(log_z):
+        args = 1.0 - s * z_mu * np.exp(log_z)
         if np.any(args[s > 0] <= 0.0):
             raise DomainError(
                 "bosonic argument 1 - z_mu z left (0, 1) during iteration"
             )
         return mat @ (s * np.log(args))
 
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        target = log_rhs(z)
-        log_z = (1.0 - eta) * np.log(z) + eta * target
-        z = np.exp(log_z)
-        residual = float(np.max(np.abs(z - np.exp(log_rhs(z)))))
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"multispecies iteration residual {residual:.2e} after {cfg.max_iter} steps"
-        )
+    log_z, residual, it = anderson(log_rhs, np.where(s > 0, math.log(0.5), 0.0), tol,
+                                   cfg.max_iter, cfg.damping)
     return [
-        SaddleSolution(-math.log(z[a]), float(z[a]), residual, it,
+        SaddleSolution(-float(log_z[a]), math.exp(log_z[a]), residual, it,
                        branch_note=species[a].name)
         for a in range(n)
     ]
@@ -472,8 +462,8 @@ def solve_profile_quasiperiodic(nu, T: float,
 
         eps(k) = k**2 + (1/2 pi) int dk' Re(gamma_nu |k - k'|**(2 nu - 1)) f(eps(k'))
 
-    over the symmetric line, realized on the non-negative half grid. Damped
-    fixed-point iteration; the returned profile satisfies the equation with
+    over the symmetric line, realized on the non-negative half grid. roots.anderson
+    iterates from eps = k**2; the returned profile satisfies the equation with
     sup-norm residual below tolerance.
 
     The grid must resolve the kernel: for strongly complex nu the factor
@@ -509,21 +499,9 @@ def solve_profile_quasiperiodic(nu, T: float,
         ker(np.abs(k[:, None] - k[None, :])) + ker(k[:, None] + k[None, :])
     )
     omega = k * k
-    eps = omega.copy()
     beta = 1.0 / T
-    eta = cfg.damping
-    res = math.inf
-    for _ in range(cfg.max_iter):
-        f = specfun.expit(-beta * eps)
-        new = omega + mat @ f
-        res = float(np.max(np.abs(new - eps)))
-        eps = (1.0 - eta) * eps + eta * new
-        if res < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"profile iteration residual {res:.2e} after {cfg.max_iter} steps"
-        )
+    eps = anderson(lambda e: omega + mat @ specfun.expit(-beta * e), omega, tol,
+                   cfg.max_iter, cfg.damping)[0]
     f_boundary = float(specfun.expit(-beta * eps[-1]))
     if f_boundary > tol:
         warnings.warn(

@@ -315,8 +315,6 @@ def test_criterion_10_profile_constant_shift_agreement():
         tol=tol,
         grid_points=3072,
         k_max_sigmas=sigmas,
-        max_iter=4000,
-        damping=0.8,
     )
     prof = saddle.solve_profile_quasiperiodic(nu, temp, cfg=cfg_p)
     dp = (prof.epsilon[0] - prof.omega[0]) / temp

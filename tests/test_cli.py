@@ -47,6 +47,12 @@ class TestParsing:
                       flag, "0.05"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--damping", "--max-iter"])
+    def test_profile_has_no_iteration_knobs(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["profile", "--nu-re", "1.4", flag, "0.5"])
+        assert exc.value.code == 2
+
     def test_charge_parses_species_flag(self):
         parser = cli.build_parser()
         args = parser.parse_args(["charge", "--species", "susy.json"])

@@ -82,3 +82,30 @@ class TestBrentContract:
             roots.brent(lambda x: x, -1.0, 1.0, xtol=1e-12, rtol=1e-17)
         with pytest.raises(DomainError):
             roots.brent(lambda x: x, -1.0, 1.0, xtol=0.0)
+
+
+class TestAnderson:
+    def test_linear_map_beyond_undamped_reach(self):
+        # x -> A x + b with eigenvalues -1.5, 0.9, 0.3 and 0.1: the plain step
+        # x -> g(x) diverges along the -1.5 direction
+        rng = np.random.default_rng(31)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q @ np.diag([-1.5, 0.9, 0.3, 0.1]) @ q.T
+        b = rng.standard_normal(4)
+        x_star = np.linalg.solve(np.eye(4) - a, b)
+
+        def g(x):
+            return a @ x + b
+
+        x = np.zeros(4)
+        for _ in range(20):
+            x = g(x)
+        assert np.max(np.abs(x - x_star)) > 1e2
+        x, res, _ = roots.anderson(g, np.zeros(4), 1e-12, 100, 1.0)
+        assert res < 1e-12
+        assert np.max(np.abs(x - x_star)) < 1e-10
+
+    def test_max_iter_raises(self):
+        # x -> x + 1 has no fixed point
+        with pytest.raises(ConvergenceError):
+            roots.anderson(lambda x: x + 1.0, np.zeros(3), 1e-12, 25, 0.5)
