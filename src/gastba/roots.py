@@ -77,16 +77,23 @@ def anderson(g, x0, tol: float, max_iter: int, beta: float):
     """Anderson mixing (type II) for x = g(x) on real arrays, with weight beta.
 
     From x, with f = g(x) - x, the step is x + beta f - (dX + beta dF) c: dX and dF
-    hold the last differences of iterates and residuals, c minimizes |f - dF c|, and
-    the history is cleared whenever the sup residual fails to beat its best so far.
-    Returns (x, sup residual, calls of g) at the first x with sup residual below tol;
-    raises ConvergenceError after max_iter calls.
+    hold the last differences of iterates and residuals and c minimizes |f - dF c|.
+    The history is cleared when the sup residual fails to beat its best so far, and
+    when g raises DomainError at an extrapolated x, which the plain step replaces (a
+    DomainError at a plain step propagates). Returns (x, sup residual, calls of g) at
+    the first x with sup residual below tol; ConvergenceError after max_iter calls.
     """
     x = np.asarray(x0, dtype=float)
     dx, df, best = [], [], math.inf
     for it in range(1, max_iter + 1):
-        f = g(x) - x
-        res = float(np.max(np.abs(f)))
+        try:
+            f = g(x) - x
+        except DomainError:
+            if not dx:
+                raise
+            dx, df, x = [], [], x_old + beta * f_old
+            continue
+        res = float(np.max(np.abs(f), initial=0.0))
         if res < tol:
             return x, res, it
         if res >= best:

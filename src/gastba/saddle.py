@@ -338,26 +338,22 @@ def solve_2d_multispecies(species: list[SpeciesSpec], h_ab: np.ndarray,
     if not np.allclose(mat, mat.T, atol=1e-12, rtol=0.0):
         raise DomainError("coupling matrix must be symmetric to 1e-12")
 
-    if not mat.any():
-        return [SaddleSolution(0.0, 1.0, 0.0, 0, branch_note=sp.name) for sp in species]
-    s = np.array([sp.statistics for sp in species], dtype=float)
-    z_mu = np.array([sp.z_mu for sp in species], dtype=float)
+    coupled = mat.any(axis=1)  # a species with a zero row is free: z = 1 exactly
+    mat = mat[np.ix_(coupled, coupled)]
+    s = np.array([sp.statistics for sp in species], dtype=float)[coupled]
+    z_mu = np.array([sp.z_mu for sp in species], dtype=float)[coupled]
 
     def log_rhs(log_z):
         args = 1.0 - s * z_mu * np.exp(log_z)
         if np.any(args[s > 0] <= 0.0):
-            raise DomainError(
-                "bosonic argument 1 - z_mu z left (0, 1) during iteration"
-            )
+            raise DomainError("bosonic argument 1 - z_mu z left (0, 1) during iteration")
         return mat @ (s * np.log(args))
 
-    log_z, residual, it = anderson(log_rhs, np.where(s > 0, math.log(0.5), 0.0), tol,
-                                   cfg.max_iter, cfg.damping)
-    return [
-        SaddleSolution(-float(log_z[a]), math.exp(log_z[a]), residual, it,
-                       branch_note=species[a].name)
-        for a in range(n)
-    ]
+    log_z = np.zeros(n)
+    log_z[coupled], residual, it = anderson(log_rhs, np.where(s > 0, math.log(0.5), 0.0),
+                                            tol, cfg.max_iter, cfg.damping)
+    return [SaddleSolution(-float(x), math.exp(x), residual, it, branch_note=sp.name)
+            for x, sp in zip(log_z, species)]
 
 
 def solve_delta_quasi(nu, T: float, cfg: SolverConfig | None = None) -> SaddleSolution:

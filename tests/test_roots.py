@@ -105,6 +105,28 @@ class TestAnderson:
         assert res < 1e-12
         assert np.max(np.abs(x - x_star)) < 1e-10
 
+    def test_extrapolation_out_of_domain_takes_plain_step(self):
+        # g(x) = x/2 on x < 0: every extrapolation lands on the fixed point 0
+        # itself, outside the domain, and the plain step replaces it
+        def g(x):
+            if np.any(x >= 0.0):
+                raise DomainError("x must stay negative")
+            return 0.5 * x
+
+        x, res, _ = roots.anderson(g, -np.ones(1), 1e-10, 400, 0.5)
+        assert res < 1e-10
+        assert -2e-10 < x[0] < 0.0
+
+    def test_domain_error_at_plain_step_propagates(self):
+        err = DomainError("outside")
+
+        def g(x):
+            raise err
+
+        with pytest.raises(DomainError) as info:
+            roots.anderson(g, np.zeros(2), 1e-10, 400, 0.5)
+        assert info.value is err
+
     def test_max_iter_raises(self):
         # x -> x + 1 has no fixed point
         with pytest.raises(ConvergenceError):

@@ -188,6 +188,34 @@ class TestMultispecies:
         sols = saddle.solve_2d_multispecies(species, np.zeros((2, 2)))
         assert all(s.z_delta == pytest.approx(1.0, abs=1e-14) for s in sols)
 
+    @pytest.mark.parametrize("coupled", [BOSON, FERMION])
+    @pytest.mark.parametrize("free", [BOSON, FERMION])
+    def test_decoupled_species_is_free(self, coupled, free):
+        # a species with a zero row has z = 1 exactly; for a free boson an
+        # extrapolated step used to land on its branch point z = 1
+        species = [
+            SpeciesSpec(name="a", statistics=coupled),
+            SpeciesSpec(name="b", statistics=free),
+        ]
+        a, b = saddle.solve_2d_multispecies(species, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        scalar = saddle.solve_2d_boson if coupled == BOSON else saddle.solve_2d_fermion
+        assert a.z_delta == pytest.approx(scalar(1.0).z_delta, abs=1e-12)
+        assert b.z_delta == 1.0
+
+    def test_extrapolation_past_branch_point_takes_plain_step(self):
+        # the weakly self-coupled boson: an extrapolated log z lands past its
+        # branch point on the way, and the plain damped step replaces it
+        species = [
+            SpeciesSpec(name="b", statistics=BOSON),
+            SpeciesSpec(name="f", statistics=FERMION, z_mu=0.5),
+        ]
+        mat = np.array([[0.001, 1.0], [1.0, 0.0]])
+        sols = saddle.solve_2d_multispecies(species, mat)
+        z = np.array([sol.z_delta for sol in sols])
+        s, z_mu = np.array([1.0, -1.0]), np.array([1.0, 0.5])
+        assert np.max(np.abs(np.log(z) - mat @ (s * np.log(1.0 - s * z_mu * z)))) < 1e-13
+        assert z == pytest.approx([0.990742863803, 0.00925713619694], rel=1e-10)
+
     def test_asymmetric_matrix_rejected(self):
         species = [
             SpeciesSpec(name="a", statistics=FERMION),
@@ -283,7 +311,19 @@ class TestProfile:
         # damped Picard steps stalled here at residual 2.2e-6 after 400 steps
         nu, T = 1.0854807860802898 + 3.1097572746810833j, 0.1035090822621387
         prof = saddle.solve_profile_quasiperiodic(nu, T, cfg=SolverConfig(grid_points=1024))
-        assert np.all(np.isfinite(prof.epsilon))
+        # the discretized equation, assembled here from the kernel and the grid
+        spec = riemann.make_kernel_spec(nu)
+        k, w = prof.nodes, prof.weights
+
+        def ker(x):
+            out = np.zeros_like(x)
+            out[x > 0] = (spec.gamma_nu * x[x > 0] ** (2 * nu - 1)).real
+            return out
+
+        mat = w / (2 * math.pi) * (ker(np.abs(k[:, None] - k)) + ker(k[:, None] + k))
+        assert np.max(np.abs(prof.omega + mat @ prof.occupancy() - prof.epsilon)) < 1e-10
+        # damped Picard steps from eps = k**2 reach the same point after 20000 steps
+        assert prof.epsilon[0] == pytest.approx(0.12284936003936316, abs=1e-9)
 
     def test_truncation_warning(self):
         cfg = SolverConfig(grid_points=128, k_max_sigmas=0.3)
