@@ -95,8 +95,10 @@ def quasi_coupling(nu) -> complex:
 def make_kernel_spec(nu) -> QuasiKernelSpec:
     """Compute (gamma_nu, h_nu, b_nu) for the quasi-periodic kernel.
 
-    b_nu is cross-validated against the route through the duplication
-    identity sin(pi nu) Gamma(1-2 nu) Gamma(nu) = sqrt(pi) 2**(-2 nu) Gamma(1/2 - nu).
+    b_nu is computed in its Gamma(1/2 - nu) form. Through the duplication
+    identity sin(pi nu) Gamma(1-2 nu) Gamma(nu) = sqrt(pi) 2**(-2 nu) Gamma(1/2 - nu)
+    it gives the same kernel as gamma_nu; nothing here checks that identity,
+    and `gastba kernel-check` reports its residual.
     """
     z = specfun._order(nu)
     h_nu = quasi_coupling(z)
@@ -160,8 +162,7 @@ def _euler_accelerate(terms: np.ndarray) -> tuple[complex, float]:
     return complex(s[-1]), float(prev_tail)
 
 
-def kernel_from_potential_eval(spec: QuasiKernelSpec, k: float,
-                               tol: float = 1e-8) -> EvalResult:
+def kernel_from_potential_eval(spec: QuasiKernelSpec, k: float) -> EvalResult:
     z = complex(spec.nu)
     if not 0.5 < z.real < 1.5:
         raise DomainError(

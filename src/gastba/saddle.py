@@ -83,28 +83,31 @@ class CouplingSpec:
             raise DomainError("mode h_2d is only meaningful at d = 2")
 
 
+def coupling_a_pow(coupling: CouplingSpec, T: float, mass: float) -> float:
+    """A = a**(d-2) = m gamma / (2 pi)**(d/2) = h_T (m T)**(-(d-2)/2), off d = 2.
+
+    At d = 2 the power of a degenerates and only the dimensionless h exists.
+    """
+    d = coupling.d
+    if d == 2:
+        raise DomainError("a**(d-2) is degenerate at d = 2; use mode h_2d or h_T")
+    if coupling.mode == "gamma":
+        return mass * coupling.value / (2.0 * math.pi) ** (d / 2.0)
+    if coupling.mode == "scattering_length":
+        if coupling.value <= 0.0:
+            raise DomainError("scattering length must be positive")
+        return coupling.value ** (d - 2.0)
+    return coupling.value * (mass * T) ** (-(d - 2.0) / 2.0)  # h_T; h_2d needs d = 2
+
+
 def coupling_h_T(coupling: CouplingSpec, T: float, mass: float) -> float:
     """Resolve any coupling mode to the thermal coupling h_T at temperature T.
 
     h_T = (a sqrt(m T))**(d-2); at d = 2 it is the dimensionless h itself.
     """
-    d = coupling.d
-    if coupling.mode == "h_T":
+    if coupling.mode in ("h_T", "h_2d"):
         return coupling.value
-    if coupling.mode == "h_2d":
-        return coupling.value
-    if d == 2:
-        raise DomainError(
-            "gamma/scattering_length are degenerate at d = 2; use mode h_2d"
-        )
-    if coupling.mode == "scattering_length":
-        a = coupling.value
-        if a <= 0.0:
-            raise DomainError("scattering length must be positive")
-        return (a * math.sqrt(mass * T)) ** (d - 2.0)
-    # gamma: a**(d-2) = m*gamma/(2 pi)**(d/2)
-    a_pow = mass * coupling.value / (2.0 * math.pi) ** (d / 2.0)
-    return a_pow * (mass * T) ** ((d - 2.0) / 2.0)
+    return coupling_a_pow(coupling, T, mass) * (mass * T) ** ((coupling.d - 2.0) / 2.0)
 
 
 @dataclass
@@ -114,18 +117,20 @@ class SolverConfig:
     tol: float | None = None  # default 1e-12 (2d), 1e-14 (multispecies), 1e-10 (shifts, profile)
     max_iter: int = 400
     damping: float = 0.5
-    grid_points: int = 512
+    grid_points: int = 512  # a positive multiple of 16: grid_points/16 Gauss-Legendre panels
     k_max_sigmas: float = 2.0
     delta_bracket: tuple[float, float] = (-10.0, 10.0)
     bracket_points: int = 2000
 
     def __post_init__(self):
-        if self.tol is not None and self.tol <= 0.0:
-            raise DomainError("tol must be positive")
+        if self.tol is not None and not 0.0 < self.tol < 1.0:
+            raise DomainError("tol must lie in (0, 1)")
         if not 0.0 < self.damping <= 1.0:
             raise DomainError("damping must lie in (0, 1]")
-        if self.grid_points < 16:
-            raise DomainError("need at least 16 grid points")
+        if not 0.0 < self.k_max_sigmas < math.inf:
+            raise DomainError("k_max_sigmas must be positive and finite")
+        if self.grid_points <= 0 or self.grid_points % 16:
+            raise DomainError("grid_points must be a positive multiple of 16")
 
     def resolved_tol(self, default: float) -> float:
         return default if self.tol is None else self.tol
@@ -328,6 +333,11 @@ def solve_2d_multispecies(species: list[SpeciesSpec], h_ab: np.ndarray,
 
     roots.anderson iterates log z; residual is the sup of |log z - log rhs|. Bosonic
     arguments must stay in (0, 1) throughout, otherwise a DomainError is raised.
+
+    Where the system has several fixed points, this returns the one the
+    iteration reaches from its start point (log z = log 1/2 for bosons, 0 for
+    fermions), and cfg.damping can change which one that is; no rule picks a
+    branch (see the `FOUND:` line on solve_2d_multispecies in CHANGES.md).
     """
     cfg = cfg or SolverConfig()
     tol = cfg.resolved_tol(1e-14)
@@ -405,55 +415,18 @@ def solve_delta_quasi(nu, T: float, cfg: SolverConfig | None = None) -> SaddleSo
                           branch_note="smallest-|delta| root", all_roots=roots)
 
 
-def _half_grid(k_max: float, n_points: int,
-               edge: float | None = None,
-               edge_width: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-node Gauss-Legendre panels on [0, k_max].
-
-    With an edge hint, panels zoom geometrically into [edge - w, edge + w]
-    to resolve a sharp Fermi surface.
-    """
+def _half_grid(k_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_points nodes and weights: n_points/16 equal-width 16-node
+    Gauss-Legendre panels on [0, k_max]."""
     x16, w16 = np.polynomial.legendre.leggauss(16)
-
-    def panels(edges):
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            nodes.append(0.5 * (b - a) * x16 + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * w16)
-        return np.concatenate(nodes), np.concatenate(weights)
-
-    if edge is None or edge <= 0.0 or edge >= k_max:
-        n_panels = max(n_points // 16, 4)
-        return panels(np.linspace(0.0, k_max, n_panels + 1))
-
-    w = edge_width if edge_width else max(1e-3 * edge, 1e-6)
-    inner = max(edge - 40.0 * w, 0.25 * edge)
-    outer = min(2.0 * edge - inner, k_max * (1.0 - 1e-12))
-    bulk_panels = max(n_points // 32, 4)
-    zoom = []
-    width = edge - inner
-    while width > w:
-        zoom.append(edge - width)
-        width *= 0.5
-    left = np.array(zoom) if zoom else np.array([inner])
-    right = np.clip((2.0 * edge - left)[::-1], None, outer)
-    edges = np.concatenate(
-        [
-            np.linspace(0.0, inner, bulk_panels + 1)[:-1],
-            left,
-            [edge],
-            right,
-            np.linspace(outer, k_max, bulk_panels + 1),
-        ]
-    )
-    edges = np.unique(edges)
-    return panels(edges)
+    edges = np.linspace(0.0, k_max, n_points // 16 + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (b - a) * x16 + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * w16).ravel()
 
 
 def solve_profile_quasiperiodic(nu, T: float,
                                 kernel: QuasiKernelSpec | None = None,
-                                cfg: SolverConfig | None = None,
-                                fermi_edge_hint: float | None = None) -> PseudoEnergyProfile:
+                                cfg: SolverConfig | None = None) -> PseudoEnergyProfile:
     """Full discretized integral equation for the quasi-periodic kernel:
 
         eps(k) = k**2 + (1/2 pi) int dk' Re(gamma_nu |k - k'|**(2 nu - 1)) f(eps(k'))
@@ -477,11 +450,7 @@ def solve_profile_quasiperiodic(nu, T: float,
         raise DomainError("need Re nu > 1/2 so the kernel is bounded at coincidence")
 
     k_max = cfg.k_max_sigmas * math.sqrt(T * math.log(1.0 / tol))
-    edge_width = None
-    if fermi_edge_hint:
-        k_max = max(k_max, 1.15 * fermi_edge_hint)
-        edge_width = 20.0 * T / (2.0 * fermi_edge_hint)
-    k, w = _half_grid(k_max, cfg.grid_points, fermi_edge_hint, edge_width)
+    k, w = _half_grid(k_max, cfg.grid_points)
 
     expo = 2.0 * z - 1.0
 

@@ -243,15 +243,15 @@ def _k_power(sigma: float) -> np.ndarray:
     return out
 
 
-def _eta_sum(z: complex, tol: float):
+def _eta_sum(z: complex):
     """The n-term accelerated sum for eta(z), its terms k**-z and n."""
     _check_eta_height(z.imag)
-    n = _crvz_terms(tol, z.imag)
+    n = _crvz_terms(1e-15, z.imag)
     a = np.exp(-z * _LOGK[:n])
     return complex(_crvz_weights(n) @ a), a, n
 
 
-def dirichlet_eta_eval(nu, tol: float = 1e-15) -> EvalResult:
+def dirichlet_eta_eval(nu) -> EvalResult:
     """eta(nu) = sum (-1)**(n-1) n**(-nu), accelerated; the analytic
     continuation on the whole plane, for |Im nu| <= ETA_T_MAX.
 
@@ -263,7 +263,7 @@ def dirichlet_eta_eval(nu, tol: float = 1e-15) -> EvalResult:
     plus that route's own bound, takes its place.
     """
     z = _order(nu)
-    s, a, n = _eta_sum(z, tol)
+    s, a, n = _eta_sum(z)
     wa = np.abs(_crvz_weights(n)) * np.abs(a)
     rnd = _EPS * (4.0 * float(np.sum(wa))
                   + 3.0 * abs(z) * math.sqrt(float(np.sum((wa * _LOGK[:n]) ** 2))))
@@ -305,7 +305,7 @@ def dirichlet_eta_line(sigma: float, ts) -> np.ndarray:
 
 def dirichlet_eta(nu) -> complex:
     """Value-only dirichlet_eta_eval: the same sum, without the estimate."""
-    return _eta_sum(_order(nu), 1e-15)[0]
+    return _eta_sum(_order(nu))[0]
 
 
 def _eta_prefactor(z: complex) -> complex:

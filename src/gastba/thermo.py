@@ -21,6 +21,7 @@ from .saddle import (
     SaddleSolution,
     SolverConfig,
     SpeciesSpec,
+    coupling_a_pow,
     coupling_h_T,
     solve_delta_constant,
 )
@@ -160,14 +161,11 @@ def fermi_energy(d: float, n: float, T: float, mass: float = 0.5) -> float:
 
     w_classical = math.log(target)
     w_degenerate = (target * specfun.gamma(d / 2.0 + 1.0).real) ** (2.0 / d)
+    # lo needs no search: -Li_s(-e**w) < e**w for s > 0, so
+    # gap(lo) < e**lo - target <= target (e**-5 - 1) < 0
     lo = min(w_classical, w_degenerate) - 5.0
     hi = max(w_classical, w_degenerate) + 5.0
     tries = 0
-    while gap(lo) > 0.0:
-        lo -= 10.0
-        tries += 1
-        if tries > 60:
-            raise ConvergenceError("Fermi-energy bracket search failed (low side)")
     while gap(hi) < 0.0:
         hi += 10.0
         tries += 1
@@ -187,47 +185,23 @@ def coupling_convert(coupling: CouplingSpec, target_mode: str,
                      state: ThermoState) -> CouplingSpec:
     """Exact conversion among gamma, scattering_length, h_T, and h_2d.
 
-    All modes route through A = a**(d-2) = m gamma / (2 pi)**(d/2)
-    = h_T (m T)**(-(d-2)/2). At d = 2 the power of a degenerates and only
-    the dimensionless h (mode h_2d, equal to the T-independent h_T) exists.
+    All modes route through A = a**(d-2) (saddle.coupling_a_pow). At d = 2
+    the power of a degenerates and only the dimensionless h (mode h_2d, equal
+    to the T-independent h_T) exists.
     """
     d = coupling.d
-    m = state.mass
-    T = state.T
     if target_mode not in CouplingSpec._MODES:
         raise DomainError(f"unknown target mode {target_mode!r}")
-
-    if d == 2:
-        if coupling.mode in ("gamma", "scattering_length") or target_mode in (
-            "gamma",
-            "scattering_length",
-        ):
-            raise DomainError(
-                "a**(d-2) is degenerate at d = 2; only h_2d <-> h_T conversions exist"
-            )
-        return CouplingSpec(mode=target_mode, value=coupling.value, d=d)
-
-    if coupling.mode == "gamma":
-        a_pow = m * coupling.value / (2.0 * math.pi) ** (d / 2.0)
-    elif coupling.mode == "scattering_length":
-        if coupling.value <= 0.0:
-            raise DomainError("scattering length must be positive")
-        a_pow = coupling.value ** (d - 2.0)
-    elif coupling.mode == "h_T":
-        a_pow = coupling.value * (m * T) ** (-(d - 2.0) / 2.0)
-    else:  # h_2d rejected off d = 2 by CouplingSpec
-        raise DomainError("mode h_2d is only meaningful at d = 2")
-
+    if target_mode in ("h_T", "h_2d"):  # CouplingSpec refuses h_2d off d = 2
+        h_t = coupling_h_T(coupling, state.T, state.mass)
+        return CouplingSpec(mode=target_mode, value=float(h_t), d=d)
+    a_pow = coupling_a_pow(coupling, state.T, state.mass)
     if target_mode == "gamma":
-        value = (2.0 * math.pi) ** (d / 2.0) * a_pow / m
-    elif target_mode == "scattering_length":
-        if a_pow <= 0.0:
-            raise DomainError("cannot take a fractional power of a <= 0")
-        value = a_pow ** (1.0 / (d - 2.0))
-    elif target_mode == "h_T":
-        value = a_pow * (m * T) ** ((d - 2.0) / 2.0)
+        value = (2.0 * math.pi) ** (d / 2.0) * a_pow / state.mass
+    elif a_pow <= 0.0:
+        raise DomainError("cannot take a fractional power of a <= 0")
     else:
-        raise DomainError("mode h_2d is only meaningful at d = 2")
+        value = a_pow ** (1.0 / (d - 2.0))
     return CouplingSpec(mode=target_mode, value=float(value), d=d)
 
 

@@ -188,6 +188,15 @@ class TestBadInput:
         self._expect_error(base + [f"--h-t={bad}"], capsys, "DomainError")
         self._expect_error(base + ["--h-t", "0.5", f"--z-mu={bad}"], capsys, "DomainError")
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "1"], ["--tol", "2"], ["--tol", "nan"],
+        ["--k-max-sigmas", "0"], ["--k-max-sigmas", "-1"], ["--k-max-sigmas", "nan"],
+        ["--grid-points", "100"],
+    ])
+    def test_profile_config_out_of_range(self, flags, capsys):
+        base = ["profile", "--nu-re", "1.4", "--T", "0.1", "--grid-points", "64"]
+        self._expect_error(base + flags, capsys, "DomainError")
+
     def test_zeros_past_quadrature_height(self, capsys):
         self._expect_error(["zeros", "--sigma", "0.5", "--t-min", "600", "--t-max", "602"],
                            capsys, "DomainError")

@@ -56,6 +56,18 @@ class TestSpeciesAndCoupling:
             saddle.solve_delta_quasi(1.4, bad)
         with pytest.raises(DomainError):
             saddle.solve_profile_quasiperiodic(1.4, bad)
+        for kwargs in ({"tol": bad}, {"k_max_sigmas": bad}):
+            with pytest.raises(DomainError):
+                SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1e-10}, {"tol": 1.0}, {"tol": 2.0},
+        {"k_max_sigmas": 0.0}, {"k_max_sigmas": -1.0},
+        {"grid_points": 0}, {"grid_points": -16}, {"grid_points": 8}, {"grid_points": 100},
+    ])
+    def test_solver_config_out_of_range(self, kwargs):
+        with pytest.raises(DomainError):
+            SolverConfig(**kwargs)
 
     def test_h_T_from_scattering_length(self):
         # a = lambda_T / sqrt(2 pi) makes the thermal coupling unity in 3d
@@ -324,6 +336,25 @@ class TestProfile:
         assert np.max(np.abs(prof.omega + mat @ prof.occupancy() - prof.epsilon)) < 1e-10
         # damped Picard steps from eps = k**2 reach the same point after 20000 steps
         assert prof.epsilon[0] == pytest.approx(0.12284936003936316, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_grid_is_equal_gauss_legendre_panels(self, n):
+        cfg = SolverConfig(grid_points=n)
+        T = 0.1
+        prof = saddle.solve_profile_quasiperiodic(1.4, T, cfg=cfg)
+        k, w = prof.nodes, prof.weights
+        assert len(k) == len(w) == n
+        k_max = cfg.k_max_sigmas * math.sqrt(T * math.log(1e10))  # default tol 1e-10
+        x16, w16 = np.polynomial.legendre.leggauss(16)
+        half = 0.5 * k_max / (n // 16)
+        mids = half * (2 * np.arange(n // 16) + 1)
+        assert np.allclose(k.reshape(-1, 16), mids[:, None] + half * x16,
+                           rtol=0, atol=1e-15 * k_max)
+        assert np.allclose(w.reshape(-1, 16), half * w16, rtol=1e-14, atol=0)
+        # composite 16-node Gauss-Legendre is exact through degree 31
+        for m in range(32):
+            exact = k_max ** (m + 1) / (m + 1)
+            assert abs(w @ k**m - exact) <= 1e-13 * exact
 
     def test_truncation_warning(self):
         cfg = SolverConfig(grid_points=128, k_max_sigmas=0.3)
