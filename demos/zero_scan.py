@@ -13,7 +13,7 @@ print("scanning sigma = 1/2, t in [10, 30] ...")
 candidates = find_zeros(0.5, 10.0, 30.0)
 for c in candidates:
     nu = complex(c.nu)
-    print(f"  t = {nu.imag:.8f}  |zeta| = {c.newton_residual:.2e}  refined = {c.refined}")
+    print(f"  t = {nu.imag:.8f}  |zeta| = {c.abs_zeta:.2e}  refined = {c.refined}")
 
 print()
 print("delta = 0 defect of the shift equation across temperatures:")

@@ -54,12 +54,9 @@ from .saddle import (
 from .specfun import (
     ComplexOrder,
     EvalResult,
-    bose_polylog_integral,
     dirichlet_eta,
-    fermi_dirac_polylog,
     gamma,
     polylog,
-    polylog_series,
     rogers_dilog,
     xi_function,
     zeta,

@@ -22,11 +22,8 @@ _FLOAT_FMT = ".15g"
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), _FLOAT_FMT)
+    """x at 15 significant digits; nan, inf and -inf as those words."""
+    return format(x, _FLOAT_FMT)
 
 
 def _render_json(obj) -> str:
@@ -42,7 +39,8 @@ def _render_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        text = _fmt_float(float(obj))
+        return text if math.isfinite(obj) else f'"{text}"'
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -52,12 +50,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, _FLOAT_FMT)
+        return _fmt_float(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)
@@ -276,7 +269,7 @@ def _cmd_zeros(args) -> dict:
             "sigma": complex(c.nu).real,
             "t": complex(c.nu).imag,
             "abs_g": c.abs_g,
-            "abs_zeta": c.newton_residual,
+            "abs_zeta": c.abs_zeta,
             "refined": c.refined,
         }
         for c in cands

@@ -11,7 +11,9 @@ closed form and from the defining improper integral (convergent only for
 1/2 < Re nu < 3/2), scans a fixed-sigma line of the critical strip for
 zeros, and runs the duality and Casimir-channel identities.
 
-The scan of the critical line uses no quadrature. Hardy's
+Every eta value and the factor 1 - 2**(1-nu) between eta and zeta come
+from specfun's eta core (dirichlet_eta_line, one_minus_pow2); nothing here
+re-derives them. The scan of the critical line uses no quadrature. Hardy's
 Z(t) = e**(i theta(t)) zeta(1/2 + i t), theta(t) = Im log Gamma(1/4 + i t/2)
 - (t/2) log pi, is real; its sign changes, sampled from the accelerated eta
 series at a quarter of the Gram spacing 2 pi/log(t/2 pi), are refined by
@@ -70,21 +72,21 @@ class ZeroCandidate:
     """One zero of the scan line: on sigma = 1/2 a sign change of Hardy's Z
     refined by Brent, elsewhere a flagged dip of |eta|.
 
-    abs_g is |eta| and newton_residual |zeta| by the series route at the
-    refined height; refined says that the Euler-Maclaurin route confirms the
-    zero independently.
+    abs_g is |eta| and abs_zeta |zeta| by the series route at the refined
+    height; refined says that the Euler-Maclaurin route confirms the zero
+    independently.
     """
 
     nu: ComplexOrder
     abs_g: float
     refined: bool
-    newton_residual: float
+    abs_zeta: float
 
 
 def quasi_coupling(nu) -> complex:
     """h_nu = gamma_nu Gamma(nu) / (2 pi) = 1 / (2 pi (1 - 2**(1-nu)))."""
     z = specfun._order(nu)
-    pref = 1.0 - cmath.exp((1.0 - z) * _LN2)
+    pref = complex(specfun.one_minus_pow2(1.0 - z))
     if abs(pref) < 1e-12:
         raise ExcludedOrderError(
             f"1 - 2**(1-nu) vanishes at nu = {z}; kernel normalization undefined"
@@ -232,22 +234,13 @@ def potential_realspace(spec: QuasiKernelSpec, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-_ETA_BLOCK = 128  # heights per array evaluation: at most 128 x 360 terms
 _LOG_PI = math.log(math.pi)
-_SQRT2 = math.sqrt(2.0)
 _XTOL = 1e-12  # Brent's absolute tolerance on a zero's height
 _CONFIRM_H = 1e-8  # the Euler-Maclaurin route must see Z change sign over t* -+ this
 _MAX_HALVINGS = 6  # local halvings of the scan step before a window is given up
 _DIP = 0.05  # off the line, a dip of |eta| is flagged below this share of its neighbours
 _STIRLING_T = 2.0 * specfun._STIRLING_MIN  # t > 14: Stirling holds at 1/4 + i t/2
 _G_MINUS_1 = 9.666908056130192  # the Gram point g_-1, theta(g_-1) = -pi
-
-
-def _eta_line(sigma: float, ts: np.ndarray) -> np.ndarray:
-    return np.concatenate([
-        specfun.dirichlet_eta_line(sigma, ts[i:i + _ETA_BLOCK])
-        for i in range(0, len(ts), _ETA_BLOCK)
-    ])
 
 
 def _theta(ts: np.ndarray) -> np.ndarray:
@@ -268,15 +261,15 @@ def _theta_scalar(t: float) -> float:
 
 def _hardy_z(ts: np.ndarray) -> np.ndarray:
     """Hardy's Z(t) = Re(e**(i theta) eta(1/2 + i t) / (1 - 2**(1/2 - i t)))."""
-    eta = _eta_line(0.5, ts)
-    rot = np.exp(1j * _theta(ts)) / (1.0 - _SQRT2 * np.exp(-1j * _LN2 * ts))
+    eta = specfun.dirichlet_eta_line(0.5, ts)
+    rot = np.exp(1j * _theta(ts)) / specfun.one_minus_pow2(0.5 - 1j * ts)
     return (rot * eta).real
 
 
 def _hardy_z_scalar(t: float) -> float:
     """Z at one height, for the steps of Brent's method."""
-    eta = complex(specfun.dirichlet_eta_line(0.5, (t,))[0])
-    rot = cmath.exp(1j * _theta_scalar(t)) / (1.0 - _SQRT2 * cmath.exp(-1j * _LN2 * t))
+    eta = complex(specfun._eta_line_sums(0.5, np.array([t]), False)[0, 0])
+    rot = cmath.exp(1j * _theta_scalar(t)) / complex(specfun.one_minus_pow2(complex(0.5, -t)))
     return (rot * eta).real
 
 
@@ -515,10 +508,10 @@ def critical_line_zeros(t_min: float, t_max: float) -> tuple[list[ZeroCandidate]
     t = np.array([x for x in found if t_min <= x <= t_max])
     if not t.size:
         return [], 0
-    abs_eta = np.abs(_eta_line(0.5, t))
-    pref = np.abs(1.0 - _SQRT2 * np.exp(-1j * _LN2 * t))
+    abs_eta = np.abs(specfun.dirichlet_eta_line(0.5, t))
+    pref = np.abs(specfun.one_minus_pow2(0.5 - 1j * t))
     out = [ZeroCandidate(nu=ComplexOrder(0.5, float(x)), abs_g=float(g),
-                         refined=bool(ok), newton_residual=float(g / p))
+                         refined=bool(ok), abs_zeta=float(g / p))
            for x, g, p, ok in zip(t, abs_eta, pref, _confirmed(t))]
     return out, len(out)
 
@@ -534,7 +527,7 @@ def _off_line_dips(sigma: float, t_min: float, t_max: float) -> list[ZeroCandida
     """
     n = max(math.ceil((t_max - t_min) / _scan_step(t_max)), 7) + 1
     ts = np.linspace(t_min, t_max, n)
-    g = np.abs(_eta_line(sigma, ts))
+    g = np.abs(specfun.dirichlet_eta_line(sigma, ts))
 
     def slope(t):
         (eta, deta), = specfun._eta_line_sums(sigma, np.array([t]), True)
@@ -552,11 +545,11 @@ def _off_line_dips(sigma: float, t_min: float, t_max: float) -> list[ZeroCandida
         if not abs(eta) < _DIP * min(g[i - 1], g[i + 1]):
             continue
         nu = complex(sigma, t)
-        pref = abs(1.0 - cmath.exp((1.0 - nu) * _LN2))
+        pref = abs(specfun.one_minus_pow2(1.0 - nu))
         em = specfun.zeta_em_eval(nu)
         refined = abs(em.value) <= em.abs_error_estimate + abs(deta) / pref * _CONFIRM_H
         out.append(ZeroCandidate(nu=ComplexOrder(sigma, t), abs_g=float(abs(eta)),
-                                 refined=bool(refined), newton_residual=float(abs(eta) / pref)))
+                                 refined=bool(refined), abs_zeta=float(abs(eta) / pref)))
     return out
 
 
@@ -569,7 +562,7 @@ def zeta_via_integral_eval(nu) -> EvalResult:
     """
     z = specfun._order(nu)
     li = specfun.fermi_dirac_polylog_eval(z, 1.0, tol=math.inf)
-    pref = 1.0 - cmath.exp((1.0 - z) * _LN2)
+    pref = complex(specfun.one_minus_pow2(1.0 - z))
     return EvalResult(-li.value / pref, li.abs_error_estimate / abs(pref),
                       li.terms_or_nodes_used)
 

@@ -81,8 +81,11 @@ def anderson(g, x0, tol: float, max_iter: int, beta: float):
     The history is cleared when the sup residual fails to beat its best so far, and
     when g raises DomainError at an extrapolated x, which the plain step replaces (a
     DomainError at a plain step propagates). Returns (x, sup residual, calls of g) at
-    the first x with sup residual below tol; ConvergenceError after max_iter calls.
+    the first x with sup residual below tol; ConvergenceError after max_iter calls,
+    and DomainError for max_iter < 1.
     """
+    if not max_iter >= 1:
+        raise DomainError(f"need max_iter >= 1, got {max_iter!r}")
     x = np.asarray(x0, dtype=float)
     dx, df, best = [], [], math.inf
     for it in range(1, max_iter + 1):

@@ -129,7 +129,11 @@ class SolverConfig:
             raise DomainError("damping must lie in (0, 1]")
         if not 0.0 < self.k_max_sigmas < math.inf:
             raise DomainError("k_max_sigmas must be positive and finite")
-        if self.grid_points <= 0 or self.grid_points % 16:
+        for name, least in (("max_iter", 1), ("grid_points", 16), ("bracket_points", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise DomainError(f"{name} must be an integer of at least {least}")
+        if self.grid_points % 16:
             raise DomainError("grid_points must be a positive multiple of 16")
 
     def resolved_tol(self, default: float) -> float:

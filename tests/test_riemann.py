@@ -176,7 +176,7 @@ class TestFindZeros:
         c = cands[0]
         assert c.refined
         assert complex(c.nu).imag == pytest.approx(oracles.CRITICAL_LINE_ZEROS[0], abs=1e-6)
-        assert c.newton_residual < 1e-8
+        assert c.abs_zeta < 1e-8
 
     def test_quadrature_oracle_refuses_large_heights(self):
         # Gamma(1/2 + 600.5 i) underflows: a typed error, not ZeroDivisionError
@@ -215,14 +215,14 @@ class TestVerifyZeroDelta:
     def test_non_zero_order_residual_large(self):
         fake = riemann.ZeroCandidate(
             nu=specfun.ComplexOrder(0.5, 15.0), abs_g=1.0, refined=False,
-            newton_residual=1.0,
+            abs_zeta=1.0,
         )
         assert riemann.verify_zero_delta(fake, [1.0]) > 1e-4
 
     def test_residual_tracks_zeta_scale_across_temperatures(self):
         cands = riemann.find_zeros(0.5, 21.0, 21.1)
         assert cands and cands[0].refined
-        scale = cands[0].newton_residual
+        scale = cands[0].abs_zeta
         for temp in (0.1, 1.0, 10.0):
             res = riemann.verify_zero_delta(cands[0], [temp])
             assert res <= 100.0 * max(scale, 1e-14)

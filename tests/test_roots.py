@@ -127,6 +127,10 @@ class TestAnderson:
             roots.anderson(g, np.zeros(2), 1e-10, 400, 0.5)
         assert info.value is err
 
+    def test_refuses_no_steps(self):
+        with pytest.raises(DomainError):
+            roots.anderson(lambda x: 0.5 * x, np.ones(2), 1e-12, 0, 0.5)
+
     def test_max_iter_raises(self):
         # x -> x + 1 has no fixed point
         with pytest.raises(ConvergenceError):

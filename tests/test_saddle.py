@@ -64,6 +64,8 @@ class TestSpeciesAndCoupling:
         {"tol": 0.0}, {"tol": -1e-10}, {"tol": 1.0}, {"tol": 2.0},
         {"k_max_sigmas": 0.0}, {"k_max_sigmas": -1.0},
         {"grid_points": 0}, {"grid_points": -16}, {"grid_points": 8}, {"grid_points": 100},
+        {"max_iter": 0}, {"bracket_points": 1}, {"grid_points": 64.0}, {"max_iter": 2.5},
+        {"bracket_points": 400.0},
     ])
     def test_solver_config_out_of_range(self, kwargs):
         with pytest.raises(DomainError):

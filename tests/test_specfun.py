@@ -594,6 +594,60 @@ class TestEtaHeight:
             specfun.dirichlet_eta(complex(0.5, -t))
 
 
+class TestEtaCore:
+    """One accelerated alternating sum: its term count comes from a proved
+    bound on Gamma(sigma)/|Gamma(nu)|, and eta for Re nu <= 0 comes from the
+    functional equation."""
+
+    def test_total_variation_bound_holds(self):
+        # log(Gamma(sigma)/|Gamma(sigma + i t)|) by mpmath, never above the bound
+        # and never far below it
+        for sigma in (0.001, 0.1, 0.5, 1.0, 2.5, 10.0, 33.0, 65.0):
+            for t in (0.0, 0.3, 3.0, 14.0, 100.0, 350.0, 550.0):
+                with mp.workdps(30):
+                    exact = float(mp.loggamma(sigma) - mp.re(mp.loggamma(mp.mpc(sigma, t))))
+                bound = specfun._log_tv(sigma, t)
+                assert exact - 1e-12 * max(1.0, abs(exact)) <= bound <= exact + 4.1
+
+    def test_line_sums_no_more_terms_than_the_asymptotic_rule(self):
+        # the rule it replaced: e**(pi |t|/2) to 1e-15, plus 12 spare terms
+        for t in np.linspace(0.0, 350.0, 701):
+            old = math.ceil((math.log(1e15) + 0.5 * math.pi * t) / specfun._LOG_CRVZ) + 12
+            n = specfun._alt_terms(0.5, t)
+            assert n <= old
+            assert specfun._log_tv(0.5, t) - n * specfun._LOG_CRVZ <= -specfun._LOG_TINY
+
+    def test_eta_left_of_the_critical_strip(self):
+        rng = np.random.default_rng(3)
+        nus = list(rng.uniform(-15.0, 0.0, 300) + 1j * rng.uniform(0.0, 40.0, 300))
+        nus += [-10.5, -20.5 + 3j, -40.0 + 1j, 0.0, -1e-9, -2.5]
+        for nu in nus:
+            with mp.workdps(40):
+                ref = complex(mp.altzeta(mp.mpc(nu)))
+            r = specfun.dirichlet_eta_eval(nu)
+            err = abs(r.value - ref)
+            assert err <= 1e-12 * abs(ref) + 1e-300
+            assert err <= r.abs_error_estimate
+            assert specfun.dirichlet_eta(nu) == r.value
+            assert abs(specfun.zeta(nu) * specfun.one_minus_pow2(1.0 - nu) - ref) <= 1e-12 * abs(ref)
+
+    def test_zeta_about_the_origin(self):
+        for nu in (1e-9, -1e-9, 1e-9j, 1e-12 + 1e-10j, -3e-10 - 2e-9j, -1e-7, 1e-7j):
+            ref = complex(mp.zeta(mp.mpc(nu)))
+            assert abs(specfun.zeta(nu) - ref) <= 1e-14
+
+    def test_refusals(self):
+        with pytest.raises(DomainError):
+            specfun.dirichlet_eta_line(0.0, [1.0, 2.0])
+        # sin(pi nu/2) of the functional equation overflows past |Im nu| = 452
+        for nu in (-0.5 + 500j, -3.0 - 460j):
+            with pytest.raises(DomainError):
+                specfun.dirichlet_eta_eval(nu)
+            with pytest.raises(DomainError):
+                specfun.zeta(nu)
+        assert math.isfinite(abs(specfun.dirichlet_eta_eval(-0.5 + 450j).value))
+
+
 class TestZetaEulerMaclaurin:
     def test_bound_holds_on_the_critical_line(self):
         rng = np.random.default_rng(41)
