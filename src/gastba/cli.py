@@ -260,10 +260,7 @@ def _cmd_profile(args) -> dict:
 
 
 def _cmd_zeros(args) -> dict:
-    if args.sigma == 0.5:
-        cands, count = riemann.critical_line_zeros(args.t_min, args.t_max)
-    else:
-        cands, count = riemann.find_zeros(args.sigma, args.t_min, args.t_max), None
+    cands = riemann.find_zeros(args.sigma, args.t_min, args.t_max)
     rows = [
         {
             "sigma": complex(c.nu).real,
@@ -279,7 +276,7 @@ def _cmd_zeros(args) -> dict:
         "t_min": args.t_min,
         "t_max": args.t_max,
         "count": len(rows),
-        "turing_count": count,
+        "turing_count": len(rows) if args.sigma == 0.5 else None,
         "rows": rows,
     }
 

@@ -38,7 +38,7 @@ class BranchAmbiguityError(GasTbaError, RuntimeError):
     """Two roots are equidistant from the free branch beyond tolerance."""
 
 
-class EmptyBracketError(GasTbaError, RuntimeError):
+class EmptyBracketError(NoSolutionError):
     """A bracket holds no sign change: the shift scan found none and
     delta = 0 is not a root, or f has one sign at both ends given to the
     root finder."""

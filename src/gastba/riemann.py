@@ -484,12 +484,11 @@ def _confirmed(ts: np.ndarray) -> np.ndarray:
     return clear[:len(ts)] & clear[len(ts):] & ((lo > 0.0) != (hi > 0.0))
 
 
-def critical_line_zeros(t_min: float, t_max: float) -> tuple[list[ZeroCandidate], int]:
-    """The zeros 1/2 + i t of zeta with t_min <= t <= t_max, certified complete.
-
-    Returns the zeros and Turing's count of them, which they always match
-    (see find_zeros). Raises DomainError for a window whose top lies past
-    specfun.ETA_T_MAX and ConvergenceError where the count cannot be closed.
+def critical_line_zeros(t_min: float, t_max: float) -> list[ZeroCandidate]:
+    """The zeros 1/2 + i t of zeta with t_min <= t <= t_max, certified complete:
+    their number is Turing's count (see find_zeros). Raises DomainError for a
+    window whose top lies past specfun.ETA_T_MAX and ConvergenceError where
+    the count cannot be closed.
     """
     if not t_max > t_min >= 0.0:
         raise DomainError("need t_max > t_min >= 0")
@@ -499,7 +498,7 @@ def critical_line_zeros(t_min: float, t_max: float) -> tuple[list[ZeroCandidate]
             " which the eta series, and so Z, can be certified"
         )
     if t_max < _G_MINUS_1:
-        return [], 0  # N(g_-1) = 0
+        return []  # N(g_-1) = 0
     scan, a, b = _certified_scan(t_min, t_max)
     ts, zs = scan.ts, scan.zs
     found = [_brent_on_line(ts[i], ts[i + 1], zs[i], zs[i + 1])
@@ -507,13 +506,12 @@ def critical_line_zeros(t_min: float, t_max: float) -> tuple[list[ZeroCandidate]
              if (zs[i] > 0.0) != (zs[i + 1] > 0.0) and ts[i + 1] >= t_min and ts[i] <= t_max]
     t = np.array([x for x in found if t_min <= x <= t_max])
     if not t.size:
-        return [], 0
+        return []
     abs_eta = np.abs(specfun.dirichlet_eta_line(0.5, t))
     pref = np.abs(specfun.one_minus_pow2(0.5 - 1j * t))
-    out = [ZeroCandidate(nu=ComplexOrder(0.5, float(x)), abs_g=float(g),
-                         refined=bool(ok), abs_zeta=float(g / p))
-           for x, g, p, ok in zip(t, abs_eta, pref, _confirmed(t))]
-    return out, len(out)
+    return [ZeroCandidate(nu=ComplexOrder(0.5, float(x)), abs_g=float(g),
+                          refined=bool(ok), abs_zeta=float(g / p))
+            for x, g, p, ok in zip(t, abs_eta, pref, _confirmed(t))]
 
 
 def _off_line_dips(sigma: float, t_min: float, t_max: float) -> list[ZeroCandidate]:
@@ -588,7 +586,7 @@ def find_zeros(sigma: float, t_min: float, t_max: float) -> list[ZeroCandidate]:
     if not 0.0 < sigma < 1.0:
         raise DomainError("sigma must lie in the open critical strip (0, 1)")
     if sigma == 0.5:
-        return critical_line_zeros(t_min, t_max)[0]
+        return critical_line_zeros(t_min, t_max)
     if not t_max > t_min >= 0.0:
         raise DomainError("need t_max > t_min >= 0")
     return _off_line_dips(sigma, t_min, t_max)

@@ -317,16 +317,20 @@ def dirichlet_eta_eval(nu) -> EvalResult:
     the analytic continuation on the whole plane through the functional
     equation for Re nu <= 0, for |Im nu| <= ETA_T_MAX (452 for Re nu <= 0).
 
-    The estimate is _eta_bounded's while the term count is below the cap;
-    where the cap binds that bound no longer reaches, and the distance to
-    (1 - 2**(1-nu)) zeta(nu) by Euler-Maclaurin, plus that route's own
-    bound, takes its place.
+    The estimate is _alt_sum's (through _eta_bounded for Re nu <= 0) while
+    the term count is below the cap; where the cap binds that bound no
+    longer reaches, and the distance to (1 - 2**(1-nu)) zeta(nu) by
+    Euler-Maclaurin, plus that route's own bound, takes its place.
     """
     z = _order(nu)
-    eta, err, n = _eta_bounded(np.array([z]))
-    s = complex(eta[0])
+    if z.real > 0.0:
+        n = _alt_terms(z.real, z.imag)
+        eta, err = _alt_sum(z, 0.0, n, _log_tv(z.real, z.imag))
+    else:
+        (eta,), (err,), n = _eta_bounded(np.array([z]))
+    s = complex(eta)
     if n < _CRVZ_CAP:
-        return EvalResult(s, float(err[0]), n)
+        return EvalResult(s, float(err), n)
     em = zeta_em_eval(z)
     pref = one_minus_pow2(1.0 - z)
     err = abs(s - pref * em.value) + abs(pref) * em.abs_error_estimate + 2.0 * _EPS * abs(s)

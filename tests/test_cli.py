@@ -167,6 +167,11 @@ class TestBadInput:
         assert out == ""
         assert json.loads(err)["error"]["type"] == kind
 
+    def test_solve_without_a_root(self, capsys):
+        # an attractive boson at z_mu = 1: the shift scan finds no root
+        argv = ["solve", "--d", "3", "--statistics", "boson", "--z-mu", "1", "--h-t", "-0.5"]
+        self._expect_error(argv, capsys, "EmptyBracketError")
+
     def test_misspelled_statistics(self, tmp_path, capsys):
         doc = {"species": [{"name": "b", "statistics": "bosn"},
                            {"name": "f", "statistics": "fermion"}],

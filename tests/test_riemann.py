@@ -303,8 +303,8 @@ class TestCompleteness:
     """Turing's method certifies each window: the scan returns every zero."""
 
     def test_all_zeros_up_to_350(self):
-        cands, count = riemann.critical_line_zeros(10.0, 350.0)
-        assert count == len(cands) == int(mp.nzeros(350)) == 169
+        cands = riemann.critical_line_zeros(10.0, 350.0)
+        assert len(cands) == int(mp.nzeros(350)) == 169
         assert all(c.refined for c in cands)
         with mp.workdps(20):
             for c in cands:
@@ -327,7 +327,7 @@ class TestCompleteness:
         # shows no sign change although it holds the zeros 282.465 and
         # 283.211: Turing's count must catch the gap and local halving
         # must recover the pair
-        want, _ = riemann.critical_line_zeros(281.0, 285.0)
+        want = riemann.critical_line_zeros(281.0, 285.0)
         halved = []
         halve = riemann._GramScan.halve
 
@@ -337,9 +337,9 @@ class TestCompleteness:
 
         monkeypatch.setattr(riemann, "_scan_step", lambda t: math.inf)
         monkeypatch.setattr(riemann._GramScan, "halve", spy)
-        got, count = riemann.critical_line_zeros(281.0, 285.0)
+        got = riemann.critical_line_zeros(281.0, 285.0)
         assert halved and all(set(cells) <= {125, 126} for cells in halved)
-        assert count == 3
+        assert len(got) == 3
         assert [complex(c.nu).imag for c in got] == pytest.approx(
             [complex(c.nu).imag for c in want], abs=1e-11)
 
@@ -349,12 +349,12 @@ class TestCompleteness:
             riemann.find_zeros(0.5, t_min, t_min + 10.0)
 
     def test_below_the_first_gram_point(self):
-        assert riemann.critical_line_zeros(0.0, 9.0) == ([], 0)
-        assert riemann.critical_line_zeros(0.0, 14.2)[1] == 1
+        assert riemann.critical_line_zeros(0.0, 9.0) == []
+        assert len(riemann.critical_line_zeros(0.0, 14.2)) == 1
 
     def test_zeros_outside_the_window_are_dropped(self):
-        cands, count = riemann.critical_line_zeros(21.5, 24.9)
-        assert cands == [] and count == 0
+        cands = riemann.critical_line_zeros(21.5, 24.9)
+        assert cands == []
 
 
 class TestOffLine:

@@ -4,9 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gastba import riemann, saddle, specfun, thermo
 from gastba.errors import (
+    BranchAmbiguityError,
     DomainError,
     EmptyBracketError,
     NoSolutionError,
@@ -287,6 +290,71 @@ class TestSolveDeltaQuasi:
     def test_requires_positive_real_part(self):
         with pytest.raises(DomainError):
             saddle.solve_delta_quasi(-0.5, T=1.0)
+
+
+DEEP_SEA = SolverConfig(delta_bracket=(-2e5, 1.0), bracket_points=400)
+
+
+def quasi_as_constant(nu, T, cfg=None):
+    """The quasi-periodic shift posed as a constant-kernel one: a fermion at
+    z_mu = 1 in d = 2 nu with h_T = T**(nu-1) h_nu (real nu)."""
+    h_T = T ** (nu - 1.0) * complex(riemann.quasi_coupling(nu)).real
+    coupling = CouplingSpec(mode="h_T", value=h_T, d=2.0 * nu)
+    return saddle.solve_delta_constant(2.0 * nu, SpeciesSpec(statistics=FERMION), coupling, T, cfg)
+
+
+class TestOneShiftEquation:
+    """solve_delta_constant and solve_delta_quasi pose one equation,
+    delta = Re[c Li_nu(s z_mu e**-delta)], and judge its roots by one rule set."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(1.05, 1.45), T=st.floats(0.05, 2.0), cfg=st.just(None))
+    @example(nu=0.9, T=0.05, cfg=DEEP_SEA)  # the deep Fermi sea: z_delta = inf
+    def test_quasi_is_a_constant_kernel_solve(self, nu, T, cfg):
+        quasi = saddle.solve_delta_quasi(nu, T, cfg)
+        const = quasi_as_constant(nu, T, cfg)
+        assert const.delta == pytest.approx(quasi.delta, rel=1e-12)
+        assert const.z_delta == pytest.approx(quasi.z_delta, rel=1e-12)
+
+    def test_residual_inside_the_noise_floor_is_accepted(self):
+        # at tol = 1e-17 the certificate is the polylog's own error bound
+        cfg = SolverConfig(tol=1e-17)
+        for d in (1, 2, 3):
+            for s in (BOSON, FERMION):
+                sp = SpeciesSpec(statistics=s, z_mu=0.5)
+                sol = saddle.solve_delta_constant(d, sp, CouplingSpec("h_T", 0.5, d), 1.0, cfg)
+                assert sol.residual < 1e-15
+        assert saddle.solve_delta_quasi(1.4, 0.5, cfg).residual < 1e-15
+
+    def test_empty_bracket_is_a_no_solution(self):
+        assert issubclass(EmptyBracketError, NoSolutionError)
+        sp = SpeciesSpec(statistics=BOSON, z_mu=1.0)
+        with pytest.raises(EmptyBracketError):
+            saddle.solve_delta_constant(3, sp, CouplingSpec("h_T", -0.5, 3), T=1.0)
+
+    def test_tiny_coupling_takes_the_origin(self):
+        for s in (BOSON, FERMION):
+            sp = SpeciesSpec(statistics=s, z_mu=0.5)
+            sol = saddle.solve_delta_constant(3, sp, CouplingSpec("h_T", 1e-12, 3), T=1.0)
+            assert sol.delta == 0.0 and sol.z_delta == 1.0
+            assert sol.residual < 1e-10
+
+    def test_equidistant_roots_are_ambiguous_in_both(self, monkeypatch):
+        # a polylog stand-in that makes the residual delta**2 - 1 (z_mu = 1),
+        # with its roots at -1 and 1
+        def stand_in(c):
+            def polylog(order, log_abs_z, sign):
+                d = -np.asarray(log_abs_z, dtype=float)
+                return specfun.EvalResult((d - d * d + 1.0) / c, 0.0 * d, 1)
+            return polylog
+
+        monkeypatch.setattr(specfun, "polylog", stand_in(-riemann.quasi_coupling(1.4)))
+        with pytest.raises(BranchAmbiguityError):
+            saddle.solve_delta_quasi(1.4, 1.0)
+        monkeypatch.setattr(specfun, "polylog", stand_in(-0.5))
+        with pytest.raises(BranchAmbiguityError):
+            saddle.solve_delta_constant(3, SpeciesSpec(statistics=FERMION),
+                                        CouplingSpec("h_T", 0.5, 3), T=1.0)
 
 
 class TestProfile:
