@@ -60,7 +60,8 @@ def brent(f, a: float, b: float, xtol: float, rtol: float = RTOL_MIN) -> float:
             else:  # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)  # 0 where tiny f values underflow
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry  # the interpolated step is short enough
             else:

@@ -276,60 +276,63 @@ def solve_delta_constant(d: float, species: SpeciesSpec, coupling: CouplingSpec,
         return SaddleSolution(0.0, 1.0, 0.0, 0, branch_note="free")
     log_zmu = math.log(species.z_mu)
     lo, hi = cfg.delta_bracket
-    if s == BOSON:  # z_mu e**-delta stays below 1, 1e-6 off the branch point
-        lo = max(log_zmu + 1e-6, lo)
+    if s == BOSON:  # z_mu e**-delta stays below the branch point at 1
+        lo = max(float(np.nextafter(log_zmu, math.inf)), lo)
     return _solve_shift(s * h, d / 2.0, s, log_zmu, lo, hi if lo < hi else lo + 20.0,
                         max(cfg.bracket_points // 5, 64), cfg)
 
 
 def _solve_2d(s: int, h: float, z_mu: float, cfg: SolverConfig | None) -> SaddleSolution:
-    """The 2d fixed point z = (1 - s z_mu z)**(s h), refined by Brent's method.
-
-    Bosons bracket it on (0, min(1, 1/z_mu)) and have no root for attractive
-    h < 0. Fermions widen (0, 2) fourfold until it holds a sign change; for
-    h <= -1 their root runs away to z = infinity, reported as a tagged limit.
+    """The 2d fixed point z = (1 - s z_mu z)**(s h) as one equation for both statistics:
+    F(w) = a w + log(1 - e**-w) - log z_mu = 0 in w = -s log(1 - s z_mu z) > 0, with
+    a = h + (1 - s)/2 and delta = -log z = h w. F'(w) = a + 1/(e**w - 1), so F rises
+    for all w when a >= 0 and up to w_top = log(1 - 1/a) when a < 0. The root on this
+    rising side is the one connected to z = 1 at h = 0; Brent's method finds it in
+    log w (past w = e**7, where e**-w underflows, it is log z_mu / a). With no root
+    there (only when a <= 0), bosons raise NoSolutionError and fermions return the
+    tagged limit z -> infinity. residual is |F(w)|, the relative residual of z_mu z.
     """
-    cfg = cfg or SolverConfig()
-    tol = cfg.resolved_tol(1e-12)
+    tol = (cfg or SolverConfig()).resolved_tol(1e-12)
     if z_mu <= 0.0:
         raise DomainError("fugacity must be positive")
     if h == 0.0:
         return SaddleSolution(0.0, 1.0, 0.0, 0, branch_note="free")
+    a, log_zmu = h + (1 - s) / 2, math.log(z_mu)
 
-    def fun(z):
-        return z - (1.0 - s * z_mu * z) ** (s * h)
+    def fun(t):  # F at w = e**t, with log(1 - e**-w) as in Maechler 2012
+        w = math.exp(t)
+        return a * w - log_zmu + (
+            math.log(-math.expm1(-w)) if w <= math.log(2.0) else math.log1p(-math.exp(-w)))
 
-    if s == BOSON:
-        if h < 0.0:
-            raise NoSolutionError("attractive 2d boson (h < 0): z = (1 - z_mu z)**h has no root")
-        hi = min(1.0, 1.0 / z_mu) * (1.0 - 1e-15)
-        if fun(1e-15) * fun(hi) > 0.0:
-            raise NoSolutionError("no sign change of z - (1 - z_mu z)**h on (0, 1)")
-    elif h <= -1.0:
-        return SaddleSolution(-math.inf, math.inf, 0.0, 0,
-                              branch_note="divergent limit: z -> infinity for h <= -1")
+    # F(w) <= a w + log w - log z_mu < -1 at w = min(1/a, z_mu/e)/e (z_mu/e**2 if a <= 0);
+    # F(w) > a w - 1/2 - log z_mu for w >= 1; where |a| < 1e-300, w_top lies past 690
+    t_lo = -1.0 - max(1.0 - log_zmu, math.log(a) if a > 0.0 else -math.inf)
+    t_hi = (min(7.0, max(0.0, math.log1p(abs(log_zmu)) - math.log(a))) if a > 0.0
+            else math.log(math.log1p(-1.0 / min(a, -1e-300))))
+    if fun(t_hi) > 0.0:
+        t = brent(fun, t_lo, t_hi, xtol=1e-16)
+        delta, res = h * math.exp(t), abs(fun(t))
+    elif a > 0.0:  # past w = e**7, F = a w - log z_mu exactly
+        delta, res = h / a * log_zmu, 0.0
+    elif s == BOSON:
+        raise NoSolutionError(f"no root of z = (1 - z_mu z)**h connected to z = 1 at h = {h:.6g}")
     else:
-        hi = 2.0
-        while fun(hi) < 0.0:
-            hi *= 4.0
-            if hi > 1e15:
-                raise NoSolutionError("fermionic fixed point escaped the bracket")
-    z = brent(fun, 1e-15, hi, xtol=1e-16, rtol=8.9e-16)
-    res = abs(fun(z))
+        return SaddleSolution(-math.inf, math.inf, 0.0, 0, branch_note="divergent limit: z -> inf")
     if res > tol:
         raise ConvergenceError(f"residual {res:.2e} above tolerance")
-    return SaddleSolution(-math.log(z), z, res, 0, branch_note="bisection-certified")
+    return SaddleSolution(delta, math.exp(-delta) if -delta < 700.0 else math.inf, res, 0,
+                          branch_note="rising-side root")
 
 
 def solve_2d_boson(h: float, z_mu: float = 1.0,
                    cfg: SolverConfig | None = None) -> SaddleSolution:
-    """Bosonic 2d fixed point z = (1 - z_mu z)**h (see _solve_2d)."""
+    """Bosonic z = (1 - z_mu z)**h: the rising-side root of F, a = h (see _solve_2d)."""
     return _solve_2d(BOSON, h, z_mu, cfg)
 
 
 def solve_2d_fermion(h: float, z_mu: float = 1.0,
                      cfg: SolverConfig | None = None) -> SaddleSolution:
-    """Fermionic 2d fixed point z = (1 + z_mu z)**(-h) (see _solve_2d)."""
+    """Fermionic z = (1 + z_mu z)**(-h): the rising-side root of F, a = h + 1 (see _solve_2d)."""
     return _solve_2d(FERMION, h, z_mu, cfg)
 
 

@@ -16,7 +16,7 @@ def _same_root(f, a, b, xtol, rtol=8.9e-16):
 
 
 class TestBrentMatchesBrentq:
-    """The four call sites' functions, and a steep and a flat bracket."""
+    """The call sites' functions, a steep and a flat bracket, and tiny values."""
 
     def test_shift_scan_residuals(self):
         # _scan_roots: the fermionic constant-shift and the quasi-periodic
@@ -44,6 +44,20 @@ class TestBrentMatchesBrentq:
             assert abs(z - (1.0 - z_mu * z) ** h) < 1e-14
             hf = rng.uniform(-0.9, 3.0)
             _same_root(lambda x: x - (1.0 + z_mu * x) ** (-hf), 1e-15, 32.0, 1e-16)
+
+    def test_algebraic_2d_in_log_w(self):
+        # saddle._solve_2d: F(e**t) = a e**t + log(1 - e**-e**t) - log z_mu
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            a, log_zmu = rng.uniform(0.05, 4.0), rng.uniform(-3.0, 3.0)
+            t = _same_root(lambda t: a * math.exp(t) + math.log1p(-math.exp(-math.exp(t)))
+                           - log_zmu, -8.0, 7.0, 1e-16)
+            assert abs(a * math.exp(t) + math.log(-math.expm1(-math.exp(t))) - log_zmu) < 1e-14
+
+    def test_underflowing_interpolation(self):
+        # f values near 1e-200: the inverse quadratic step's denominator
+        # underflows to 0, and both take the bisection step there
+        _same_root(lambda x: 1e-200 * math.expm1(x - 0.5), 0.0, 3.0, 1e-16)
 
     def test_fermi_energy_gap(self):
         for d, target in ((1, 0.3), (2, 5.0), (3, 40.0)):

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from gastba import riemann, saddle, specfun, thermo
@@ -121,6 +122,14 @@ class TestSolveDeltaConstant:
                 rhs = -h * specfun.polylog_series(d / 2.0, -u).real
             assert abs(sol.delta - rhs) < 1e-10
 
+    @pytest.mark.parametrize("h", [1e-8, 1e-10])
+    def test_weak_boson_meets_the_2d_solver(self, h):
+        # Li_1(x) = -log(1 - x): at d = 2 the shift equation is the 2d one, and
+        # its root lies within 1e-6 of the bosonic branch point at z_mu = 1
+        sp = SpeciesSpec(statistics=BOSON, z_mu=1.0)
+        sol = saddle.solve_delta_constant(2, sp, CouplingSpec("h_T", h, 2), T=1.0)
+        assert sol.delta == pytest.approx(saddle.solve_2d_boson(h).delta, rel=1e-6)
+
     def test_bosonic_attractive_detachment(self):
         sp = SpeciesSpec(statistics=BOSON, z_mu=1.0)
         with pytest.raises(NoSolutionError):
@@ -169,6 +178,74 @@ class TestSolve2dFermion:
             sol = saddle.solve_2d_fermion(h)
             assert math.isinf(sol.z_delta)
             assert "divergent" in sol.branch_note
+
+
+@st.composite
+def draws_2d(draw):
+    """(s, h, z_mu) with h > 0 for bosons and h > -1 for fermions, where
+    F(w) = a w + log(1 - e**-w) - log z_mu rises for all w and has one root."""
+    s = draw(st.sampled_from([BOSON, FERMION]))
+    h = draw(st.floats(0.0 if s == BOSON else -0.999, 20.0))
+    return s, h, math.exp(draw(st.floats(-5.0, 7.0)))
+
+
+# (s, h, z_mu, field, value): mpmath at 60 digits on the root of F connected to
+# z = 1 at h = 0
+REFERENCE_2D = [
+    (BOSON, 0.16994, 14.376, "delta", 2.6655603036370045),  # 1 - z_mu z = 1.5e-7
+    (BOSON, 0.010895, 5.9184, "delta", 1.7780661420960525),  # 1 - z_mu z = 1.3e-71
+    (FERMION, -0.91659, 78.024, "delta", -47.879123939188873),  # z = 6.2e20
+    (FERMION, -0.58879, 643.18, "delta", -9.2589339775094750),  # z = 10497.9
+    (BOSON, -0.1, 0.1, "z_delta", 1.0107121141684405),  # attractive, still bound
+    (FERMION, -1.5, 0.01, "z_delta", 1.015267602692994),  # h < -1, still finite
+    (FERMION, -1.0, 0.5, "z_delta", 2.0),  # a = 0: z = 1/(1 - z_mu), still finite
+    (BOSON, 1e-12, 0.5, "delta", 6.9314718055925215e-13),  # weak coupling: no -log z
+    (BOSON, 1e-12, 1.0, "delta", 2.4435004404946650e-11),  # log(1 - e**-w) = -3e-11
+]
+
+
+def solve_2d(s, h, z_mu):
+    return (saddle.solve_2d_boson if s == BOSON else saddle.solve_2d_fermion)(h, z_mu)
+
+
+class TestOne2dEquation:
+    """Both statistics solve F(w) = 0 in w = -s log(1 - s z_mu z), with delta = h w,
+    and take the root on the rising side of F."""
+
+    @pytest.mark.parametrize("s, h, z_mu, field, value", REFERENCE_2D)
+    def test_reference_roots(self, s, h, z_mu, field, value):
+        assert getattr(solve_2d(s, h, z_mu), field) == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    @seed(7)
+    @settings(max_examples=300, deadline=None)
+    @given(case=draws_2d())
+    @example(case=REFERENCE_2D[0][:3])
+    @example(case=REFERENCE_2D[1][:3])
+    @example(case=REFERENCE_2D[2][:3])
+    @example(case=REFERENCE_2D[3][:3])
+    @example(case=REFERENCE_2D[4][:3])
+    @example(case=REFERENCE_2D[5][:3])
+    @example(case=REFERENCE_2D[6][:3])
+    @example(case=REFERENCE_2D[7][:3])
+    @example(case=REFERENCE_2D[8][:3])
+    def test_increasing_equation_always_solves(self, case):
+        s, h, z_mu = case
+        sol = solve_2d(s, h, z_mu)
+        # sign(delta) = sign(h); delta = h w keeps the sign of h where it underflows
+        assert math.copysign(1.0, sol.delta) == math.copysign(1.0, h) or h == 0.0
+        assert sol.residual <= 1e-12
+        if abs(sol.delta) >= sys.float_info.min:  # F(delta/h) = 0 in independent arithmetic
+            w = mp.mpf(sol.delta) / h
+            f = (h + (1 - s) / 2) * w + mp.log(-mp.expm1(-w)) - mp.log(z_mu)
+            assert abs(f) < 1e-13
+
+    def test_far_root_in_closed_form(self):
+        # past w = e**7, e**-w underflows and F(w) = a w - log z_mu vanishes at
+        # w = log z_mu / a, even where w itself overflows
+        sol = saddle.solve_2d_fermion(-0.999, math.exp(7.0))
+        assert sol.delta == pytest.approx(-0.999 * 7.0 / (1.0 - 0.999), rel=1e-14)
+        assert math.isinf(sol.z_delta) and "divergent" not in sol.branch_note
+        assert saddle.solve_2d_boson(1e-310, math.exp(2.0)).delta == pytest.approx(2.0, rel=1e-14)
 
 
 class TestMultispecies:
