@@ -4,7 +4,8 @@ These deliberately avoid the library's own evaluation paths: the Gamma
 oracle integrates the defining integral with adaptive quadrature, and the
 high-precision zeta oracle runs the accelerated alternating series in
 mpmath arbitrary-precision arithmetic, where the acceleration error bound
-is driven far below double precision.
+is driven far below double precision. The dense profile matrix assembles
+every entry of the kernel sum that the profile solver applies by FFT.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 from scipy import integrate
 
 
@@ -72,6 +74,21 @@ def mp_refine_zero(t0: float, dps: int = 40) -> mp.mpf:
             if abs(step) < mp.mpf(10) ** (-25):
                 break
         return t
+
+
+def dense_profile_matrix(spec, k, w) -> np.ndarray:
+    """The profile equation's N x N matrix, w_j/(2 pi) [K(|k_i - k_j|) + K(k_i + k_j)]
+    with K(x) = Re(gamma_nu x**(2 nu - 1)) and K(0) = 0, assembled entry by entry
+    from the nodes k and weights w."""
+    expo = 2.0 * complex(spec.nu) - 1.0
+
+    def ker(x):
+        out = np.zeros_like(x)
+        pos = x > 0.0
+        out[pos] = (spec.gamma_nu * x[pos] ** expo).real
+        return out
+
+    return w / (2.0 * math.pi) * (ker(np.abs(k[:, None] - k)) + ker(k[:, None] + k))
 
 
 # frozen from the oracles above (dps = 30..40); regenerated by the slow tests

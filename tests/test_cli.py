@@ -217,6 +217,18 @@ _NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 from gastba import cli
 
+
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+
+def run(argvs):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+
+
+seen = {"numpy.fft after import": loaded("numpy.fft")}
 argvs = [["solve", "--d", d, "--statistics", s, "--z-mu", "0.6", "--h-t", "0.4"]
          for d in ("1", "2", "3") for s in ("boson", "fermion")]
 argvs += [["solve", "--d", "4", "--statistics", "boson", "--z-mu", "0.6", "--h-t", "0.4"]]
@@ -225,23 +237,26 @@ argvs += [["charge", "--statistics", "boson", "--h", "1.5"],
           ["bec", "--d", "3", "--h-t", "0.5"],
           ["fermi", "--d", "3", "--n", "1", "--T", "0.5"],
           ["duality", "--nu-re", "0.3", "--nu-im", "5"],
-          ["profile", "--nu-re", "1.4", "--T", "0.1", "--grid-points", "64"],
           ["zeros", "--sigma", "0.5", "--t-min", "20.9", "--t-max", "21.1"]]
-for argv in argvs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+run(argvs)
+seen["numpy.fft before profile"] = loaded("numpy.fft")
+run([["profile", "--nu-re", "1.4", "--T", "0.1", "--grid-points", "64"]])
+seen["scipy"] = loaded("scipy")
+print(json.dumps(seen))
 """
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
-    """Every command but kernel-check runs without importing scipy."""
+    """Every command but kernel-check runs without importing scipy, and
+    importing gastba.cli and every command but profile and kernel-check leave
+    numpy.fft unloaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, susy_file(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "numpy.fft after import": [], "numpy.fft before profile": [], "scipy": []}
 
 
 class TestRendering:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from gastba.errors import (
     NoSolutionError,
     TruncationWarning,
 )
+from gastba.roots import anderson
 from gastba.saddle import BOSON, FERMION, CouplingSpec, SolverConfig, SpeciesSpec
 
 import oracles
@@ -239,6 +241,23 @@ class TestOne2dEquation:
             f = (h + (1 - s) / 2) * w + mp.log(-mp.expm1(-w)) - mp.log(z_mu)
             assert abs(f) < 1e-13
 
+    @pytest.mark.parametrize("s", [BOSON, FERMION])
+    @pytest.mark.parametrize("h", [1e38, 1e100, 1e300])
+    @pytest.mark.parametrize("log_zmu", [-5.0, 0.0, 7.0])
+    def test_huge_coupling_against_mpmath(self, s, h, log_zmu):
+        # the root sits at t = log w ~ -log h, where one ulp of t moves F by more
+        # than 1e-12 (at h = 1e38, z_mu = 1 the residual is 1.05e-12)
+        z_mu = math.exp(log_zmu)
+        with mp.workdps(50):
+            a = mp.mpf(h) + (1 - s) // 2
+
+            def f(t):
+                return a * mp.exp(t) + mp.log(-mp.expm1(-mp.exp(t))) - mp.log(z_mu)
+
+            t = mp.findroot(f, (-mp.log(a), mp.log(10 * mp.log(a) / a)), solver="anderson")
+            expected = float(h * mp.exp(t))
+        assert solve_2d(s, h, z_mu).delta == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_far_root_in_closed_form(self):
         # past w = e**7, e**-w underflows and F(w) = a w - log z_mu vanishes at
         # w = log z_mu / a, even where w itself overflows
@@ -434,6 +453,9 @@ class TestOneShiftEquation:
                                         CouplingSpec("h_T", 0.5, 3), T=1.0)
 
 
+PROFILE_ORDERS = [1.4, 1.2, 1.1 + 3j, 0.9]
+
+
 class TestProfile:
     def test_free_dispersion(self):
         spec = riemann.QuasiKernelSpec(
@@ -444,8 +466,11 @@ class TestProfile:
             sigma=1.8,
             alpha=0.0,
         )
-        prof = saddle.solve_profile_quasiperiodic(0.9, T=1.0, kernel=spec)
-        assert np.max(np.abs(prof.epsilon - prof.omega)) == 0.0
+        for n in (16, 512):  # one panel, and the default grid
+            cfg = SolverConfig(grid_points=n)
+            prof = saddle.solve_profile_quasiperiodic(0.9, T=1.0, kernel=spec, cfg=cfg)
+            assert np.max(np.abs(prof.epsilon - prof.omega)) == 0.0
+            assert prof.iterations == 1 and prof.residual == 0.0
 
     def test_profile_symmetry_exact(self):
         cfg = SolverConfig(grid_points=256)
@@ -470,19 +495,56 @@ class TestProfile:
         # damped Picard steps stalled here at residual 2.2e-6 after 400 steps
         nu, T = 1.0854807860802898 + 3.1097572746810833j, 0.1035090822621387
         prof = saddle.solve_profile_quasiperiodic(nu, T, cfg=SolverConfig(grid_points=1024))
-        # the discretized equation, assembled here from the kernel and the grid
-        spec = riemann.make_kernel_spec(nu)
-        k, w = prof.nodes, prof.weights
-
-        def ker(x):
-            out = np.zeros_like(x)
-            out[x > 0] = (spec.gamma_nu * x[x > 0] ** (2 * nu - 1)).real
-            return out
-
-        mat = w / (2 * math.pi) * (ker(np.abs(k[:, None] - k)) + ker(k[:, None] + k))
+        # the discretized equation, assembled densely from the kernel and the grid
+        mat = oracles.dense_profile_matrix(riemann.make_kernel_spec(nu), prof.nodes,
+                                           prof.weights)
         assert np.max(np.abs(prof.omega + mat @ prof.occupancy() - prof.epsilon)) < 1e-10
         # damped Picard steps from eps = k**2 reach the same point after 20000 steps
         assert prof.epsilon[0] == pytest.approx(0.12284936003936316, abs=1e-9)
+
+    @pytest.mark.parametrize("nu", PROFILE_ORDERS)
+    @pytest.mark.parametrize("n", [16, 64, 512, 2048])
+    def test_matrix_free_product_matches_dense_oracle(self, n, nu):
+        spec = riemann.make_kernel_spec(nu)
+        k, w = saddle._half_grid(1.3, n)
+        f = np.random.default_rng(n).standard_normal(n)
+        expected = oracles.dense_profile_matrix(spec, k, w) @ f
+        got = saddle._profile_operator(spec, 1.3, w)(f)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    # at nu = 0.9 the attractive kernel fills the whole default grid
+    @pytest.mark.filterwarnings("ignore::gastba.errors.TruncationWarning")
+    @pytest.mark.parametrize("nu", PROFILE_ORDERS)
+    @pytest.mark.parametrize("n", [64, 512, 2048])
+    def test_profile_matches_dense_oracle_solve(self, n, nu):
+        T, cfg = 0.1, SolverConfig(grid_points=n)
+        prof = saddle.solve_profile_quasiperiodic(nu, T, cfg=cfg)
+        mat = oracles.dense_profile_matrix(riemann.make_kernel_spec(nu), prof.nodes,
+                                           prof.weights)
+        eps, _, calls = anderson(lambda e: prof.omega + mat @ specfun.expit(-e / T),
+                                 prof.omega, 1e-10, cfg.max_iter, cfg.damping)
+        assert np.max(np.abs(prof.epsilon - eps)) <= 1e-12 * np.max(np.abs(eps))
+        assert prof.iterations == calls
+
+    @pytest.mark.parametrize("nu, calls", [(1.4, 9), (1.2, 10), (1.1 + 3j, 19)])
+    def test_reports_anderson_calls_and_residual(self, nu, calls):
+        prof = saddle.solve_profile_quasiperiodic(nu, 0.1, cfg=SolverConfig(grid_points=2048))
+        assert prof.iterations == calls
+        assert 0.0 <= prof.residual < 1e-10
+
+    def test_memory_stays_linear_in_the_grid(self):
+        # one 4096 x 4096 float64 matrix would take 128 MB; numpy reports its
+        # buffers to tracemalloc
+        cfg = SolverConfig(grid_points=4096)
+        # a small solve first, so that imports and caches stay out of the traced peak
+        saddle.solve_profile_quasiperiodic(1.4, 0.1, cfg=SolverConfig(grid_points=64))
+        tracemalloc.start()
+        try:
+            saddle.solve_profile_quasiperiodic(1.1 + 3j, 0.1, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_grid_is_equal_gauss_legendre_panels(self, n):
